@@ -264,13 +264,13 @@ def _run_mc_ldp(cfg: RunConfig):
         "lower_margins": report.lower_margins, "upper_margins": report.upper_margins,
         "slack": report.slack, "eps_list": report.eps_list, "notes": report.notes,
     })
-    uni = uniformity_sweep(plan, controls, rates, base_seed=seed)
+    uni = uniformity_sweep(report)
     records.extend({"kind": "uniformity", **row} for row in uni.as_rows())
     records.append({
         "kind": "uniformity-verdict", "passed": bool(uni.passed),
         "warning": uni.warning,
     })
-    return records, {"blow_up_count": 0}, EXIT_OK
+    return records, {"blow_up_count": report.blow_up_count}, EXIT_OK
 
 
 def _run_validate_model(cfg: RunConfig):

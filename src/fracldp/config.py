@@ -178,7 +178,7 @@ _DATUM_EXPECTED = (
 # tail_mass_scan for the measured exterior mass.
 _TIMEGRID_KEYS = {
     "horizon": (0.25, lambda v: _is_num(v) and v > 0, "float > 0"),
-    "n_steps": (64, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "n_steps": (64, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
 }
 
 _RUN_KEYS = {
@@ -201,7 +201,7 @@ _BUILT_KEYS = {
         lambda v: v in ("cubic_minus_linear", "pure_power"),
         "one of ['cubic_minus_linear', 'pure_power']",
     ),
-    "p": (4.0, lambda v: _is_num(v) and v >= 2, "float >= 2"),
+    "p": (4.0, lambda v: _is_num(v) and v > 2, "float > 2"),
     "noise_form": (
         "saturated_power",
         lambda v: v in ("saturated_power", "smooth_power"),
@@ -345,6 +345,14 @@ def parse_config(text: str) -> RunConfig:
         model_keys = {"preset": (preset, lambda v: True, "")} | _BUILT_KEYS
         model = _fill_section(model_raw, model_keys, "model", errors)
         p, q = model.get("p"), model.get("q")
+        if model.get("drift_form") == "cubic_minus_linear":
+            if p is not None and p != 4:
+                errors.append({
+                    "key": "model.p",
+                    "expected": "4 (cubic_minus_linear is a p = 4 drift)",
+                    "found": repr(p),
+                })
+            p = 4.0
         if _is_num(p) and _is_num(q) and q > 1 + p / 2:
             errors.append({
                 "key": "model.q",

@@ -17,6 +17,12 @@ Ball events around a reference path use the full product path norm; set
 events for the open/closed probes use the time-averaged L2 distance — the
 same smooth norm the constrained rate minimizer works in, so measured
 frequencies and rate constants refer to one geometry.
+
+Every probe runs the same campaign: one batch per (epsilon, datum) cell, on
+disjoint path streams, carrying all of the cell's reference paths at once.
+Paths that breach the plan's L-infinity guard are counted on the report.
+Uniformity rows are derived from the fw-lower cells with no extra
+simulation.
 """
 
 from __future__ import annotations
@@ -110,6 +116,7 @@ class LdpReport:
     verdict: str  # "pass" | "fail" | "indeterminate"
     indeterminate_cells: int
     notes: str = ""
+    blow_up_count: int = 0  # paths that breached linf_guard, over all cells
 
     @property
     def passed(self) -> bool:
@@ -129,6 +136,44 @@ def _select_dists(summaries, which: str) -> np.ndarray:
     else:
         raise DomainError(f"unknown distance selector {which!r}")
     return np.vstack([np.atleast_1d(r) for r in rows])
+
+
+def _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, references, which):
+    """One Monte Carlo cell: (n_paths, n_refs) distances and the blown-path count.
+
+    Blown-up paths carry infinite distance; a cell where every path blew up
+    has no event frequency to report.
+    """
+    sums = batch_paths(
+        model, u0, cfg, n_paths, base_seed,
+        stream_offset=stream_offset, references=references,
+    )
+    blown = sum(1 for s in sums if s.blow_step is not None)
+    if blown == n_paths:
+        raise EstimationError(
+            f"every path blew up at eps={cfg.epsilon} (streams from {stream_offset})"
+        )
+    return _select_dists(sums, which), blown
+
+
+def _campaign(plan: LdpExperimentPlan, refs_by_datum, base_seed: int, which: str):
+    """The epsilon x datum loop shared by every probe.
+
+    Yields (eps, one distance matrix per datum, blown paths at eps). Cell
+    (e, d) draws streams from (e * n_data + d) * n_paths on, so no two cells
+    share a path.
+    """
+    n_data = len(plan.initial_data)
+    for e_idx, eps in enumerate(plan.eps_list):
+        cfg = SdeConfig(epsilon=eps, timegrid=plan.timegrid, linf_guard=plan.linf_guard)
+        cells = [
+            _simulate_cell(
+                plan.model, u0, cfg, plan.n_paths, base_seed,
+                (e_idx * n_data + d_idx) * plan.n_paths, refs_by_datum[d_idx], which,
+            )
+            for d_idx, u0 in enumerate(plan.initial_data)
+        ]
+        yield eps, [dmat for dmat, _ in cells], sum(blown for _, blown in cells)
 
 
 def estimate_ball_probability(
@@ -161,21 +206,24 @@ def estimate_ball_probability(
     if phi.shape != (timegrid.n_steps + 1, *model.grid.shape):
         raise GridMismatchError("reference trajectory shape mismatch")
     cfg = SdeConfig(epsilon=epsilon, timegrid=timegrid, linf_guard=linf_guard)
-    sums = batch_paths(
-        model, u0, cfg, n_paths, base_seed, stream_offset=stream_offset, references=[phi]
-    )
-    if all(s.blow_step is not None for s in sums):
-        raise EstimationError("every sampled path blew up; no event frequency to report")
-    d = _select_dists(sums, which)[:, 0]
+    dmat, _ = _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, [phi], which)
+    d = dmat[:, 0]
     hits = int(np.sum(d < delta)) if side == "inside" else int(np.sum(d >= delta))
     return hits / n_paths, wilson_interval(hits, n_paths)
 
 
-def _log_margin(eps: float, p_hat: float, ci_hi: float) -> tuple[float, bool]:
-    """eps*ln(p-hat), censored at the Wilson upper bound when no hits landed."""
-    if p_hat > 0.0:
-        return eps * math.log(p_hat), False
-    return eps * math.log(ci_hi), True
+def _event_stats(hits: int, n_paths: int, eps: float) -> dict:
+    """p-hat, its Wilson interval and eps*ln(p-hat) for one cell's hit count.
+
+    With no hits the log term is censored at the Wilson upper bound.
+    """
+    p_hat = hits / n_paths
+    lo, hi = wilson_interval(hits, n_paths)
+    censored = hits == 0
+    return {
+        "p_hat": p_hat, "ci_lo": lo, "ci_hi": hi,
+        "eps_ln_p": eps * math.log(hi if censored else p_hat), "censored": censored,
+    }
 
 
 def _trend_verdict(
@@ -276,78 +324,49 @@ def fw_bounds_experiment(
     model = plan.model
     tg = plan.timegrid
 
-    # shared spadework: target paths per (datum, control); level sets paired
-    # across data through one control draw per level
-    targets = [[g0_map(model, u0, v, tg) for v in controls] for u0 in plan.initial_data]
-    level_controls = {
-        s: sample_level_set(
+    # shared spadework: per datum the target paths G0(u0, v), then per level
+    # the sampled level set, paired across data through one control draw
+    level_controls = [
+        sample_level_set(
             model, plan.initial_data[0], s, n_level_samples, tg, seed=level_seed + k
         ).controls
         for k, s in enumerate(plan.s_levels)
-    }
-    level_sets = [
-        {
-            s: sample_level_set(
-                model, u0, s, 0, tg, controls=level_controls[s]
-            ).trajectories
-            for s in plan.s_levels
-        }
-        for u0 in plan.initial_data
     ]
+    refs_by_datum = []
+    for u0 in plan.initial_data:
+        refs = [g0_map(model, u0, v, tg) for v in controls]
+        for s, members in zip(plan.s_levels, level_controls):
+            refs.extend(sample_level_set(model, u0, s, 0, tg, controls=members).trajectories)
+        refs_by_datum.append(refs)
+    # level k's members occupy columns bounds[k]:bounds[k + 1]
+    bounds = np.cumsum([len(controls)] + [len(m) for m in level_controls])
 
     records = []
     lower_by_eps = []
     upper_by_eps = []
-    for e_idx, eps in enumerate(plan.eps_list):
+    blow_up_count = 0
+    for eps, dmats, blown in _campaign(plan, refs_by_datum, base_seed, plan.path_norm):
+        blow_up_count += blown
         lower_cells = []
         upper_cells = []
-        for d_idx, u0 in enumerate(plan.initial_data):
-            refs = list(targets[d_idx])
-            level_cols = {}
-            col = len(refs)
-            for s in plan.s_levels:
-                members = level_sets[d_idx][s]
-                level_cols[s] = (col, col + len(members))
-                refs.extend(members)
-                col += len(members)
-            cfg = SdeConfig(epsilon=eps, timegrid=tg, linf_guard=plan.linf_guard)
-            offset = (e_idx * len(plan.initial_data) + d_idx) * plan.n_paths
-            sums = batch_paths(
-                model, u0, cfg, plan.n_paths, base_seed,
-                stream_offset=offset, references=refs,
-            )
-            if all(s_.blow_step is not None for s_ in sums):
-                raise EstimationError(
-                    f"every path blew up at eps={eps}, datum {d_idx}"
-                )
-            dmat = _select_dists(sums, plan.path_norm)
+        for d_idx, dmat in enumerate(dmats):
             for j in range(len(controls)):
-                hits = int(np.sum(dmat[:, j] < plan.delta))
-                p_hat = hits / plan.n_paths
-                lo, hi = wilson_interval(hits, plan.n_paths)
-                log_term, censored = _log_margin(eps, p_hat, hi)
-                margin = log_term + rates[d_idx][j].value
-                lower_cells.append((margin, censored))
+                stats = _event_stats(int(np.sum(dmat[:, j] < plan.delta)), plan.n_paths, eps)
+                rate = rates[d_idx][j].value
+                margin = stats["eps_ln_p"] + rate
+                lower_cells.append((margin, stats["censored"]))
                 records.append({
-                    "probe": "fw-lower", "eps": eps, "datum": d_idx,
-                    "target": f"path-{j}", "p_hat": p_hat, "ci_lo": lo, "ci_hi": hi,
-                    "eps_ln_p": log_term, "rate": rates[d_idx][j].value,
-                    "margin": margin, "censored": censored,
+                    "probe": "fw-lower", "eps": eps, "datum": d_idx, "target": f"path-{j}",
+                    **stats, "rate": rate, "margin": margin,
                 })
-            for s in plan.s_levels:
-                a, b = level_cols[s]
-                set_dist = dmat[:, a:b].min(axis=1)
-                hits = int(np.sum(set_dist >= plan.delta))
-                p_hat = hits / plan.n_paths
-                lo, hi = wilson_interval(hits, plan.n_paths)
-                log_term, censored = _log_margin(eps, p_hat, hi)
-                margin = log_term + s
-                upper_cells.append((margin, censored))
+            for k, s in enumerate(plan.s_levels):
+                set_dist = dmat[:, bounds[k]:bounds[k + 1]].min(axis=1)
+                stats = _event_stats(int(np.sum(set_dist >= plan.delta)), plan.n_paths, eps)
+                margin = stats["eps_ln_p"] + s
+                upper_cells.append((margin, stats["censored"]))
                 records.append({
-                    "probe": "fw-upper", "eps": eps, "datum": d_idx,
-                    "target": f"level-{s:g}", "p_hat": p_hat, "ci_lo": lo, "ci_hi": hi,
-                    "eps_ln_p": log_term, "rate": s,
-                    "margin": margin, "censored": censored,
+                    "probe": "fw-upper", "eps": eps, "datum": d_idx, "target": f"level-{s:g}",
+                    **stats, "rate": s, "margin": margin,
                 })
         lower_by_eps.append(lower_cells)
         upper_by_eps.append(upper_cells)
@@ -368,6 +387,7 @@ def fw_bounds_experiment(
             "level-set distances use the finite sampled set (an over-estimate of "
             "the true distance), so upper-probe margins are conservatively inflated"
         ),
+        blow_up_count=blow_up_count,
     )
 
 
@@ -415,65 +435,42 @@ def dz_bounds_experiment(
     if not sets:
         raise DependencyError("dz probe needs at least one event set")
     rates = _check_rate_grid(set_rates, len(sets), len(plan.initial_data), "dz")
-    model = plan.model
-    tg = plan.timegrid
-    for spec in sets:
-        ref = np.asarray(spec.reference, dtype=float)
-        if ref.shape != (tg.n_steps + 1, *model.grid.shape):
+    shape = (plan.timegrid.n_steps + 1, *plan.model.grid.shape)
+    refs = [np.asarray(spec.reference, dtype=float) for spec in sets]
+    for spec, ref in zip(sets, refs):
+        if ref.shape != shape:
             raise GridMismatchError(f"set {spec.name!r} reference shape mismatch")
 
     records = []
     lower_by_eps = []
     upper_by_eps = []
-    for e_idx, eps in enumerate(plan.eps_list):
-        frac = np.empty((len(sets), len(plan.initial_data)))
-        ci_hi_mat = np.empty_like(frac)
-        ci_lo_mat = np.empty_like(frac)
-        for d_idx, u0 in enumerate(plan.initial_data):
-            cfg = SdeConfig(epsilon=eps, timegrid=tg, linf_guard=plan.linf_guard)
-            offset = (e_idx * len(plan.initial_data) + d_idx) * plan.n_paths
-            sums = batch_paths(
-                model, u0, cfg, plan.n_paths, base_seed,
-                stream_offset=offset,
-                references=[np.asarray(s.reference, dtype=float) for s in sets],
-            )
-            if all(s_.blow_step is not None for s_ in sums):
-                raise EstimationError(f"every path blew up at eps={eps}, datum {d_idx}")
-            dmat = _select_dists(sums, "l2rms")
-            for k, spec in enumerate(sets):
-                if spec.kind == "open-ball":
-                    hits = int(np.sum(dmat[:, k] < spec.radius))
-                else:
-                    hits = int(np.sum(dmat[:, k] >= spec.radius))
-                frac[k, d_idx] = hits / plan.n_paths
-                ci_lo_mat[k, d_idx], ci_hi_mat[k, d_idx] = wilson_interval(hits, plan.n_paths)
-
+    blow_up_count = 0
+    n_data = len(plan.initial_data)
+    for eps, dmats, blown in _campaign(plan, [refs] * n_data, base_seed, "l2rms"):
+        blow_up_count += blown
         lower_cells = []
         upper_cells = []
         for k, spec in enumerate(sets):
-            terms = []
-            censored_any = False
-            for d_idx in range(len(plan.initial_data)):
-                log_term, censored = _log_margin(eps, frac[k, d_idx], ci_hi_mat[k, d_idx])
-                censored_any = censored_any or censored
-                terms.append(log_term)
-                records.append({
-                    "probe": "dz-open" if spec.kind == "open-ball" else "dz-closed",
+            is_open = spec.kind == "open-ball"
+            cells = []
+            for d_idx, dmat in enumerate(dmats):
+                d = dmat[:, k]
+                hits = int(np.sum(d < spec.radius if is_open else d >= spec.radius))
+                cells.append({
+                    "probe": "dz-open" if is_open else "dz-closed",
                     "eps": eps, "datum": d_idx, "target": spec.name,
-                    "p_hat": frac[k, d_idx],
-                    "ci_lo": ci_lo_mat[k, d_idx], "ci_hi": ci_hi_mat[k, d_idx],
-                    "eps_ln_p": log_term, "rate": rates[k][d_idx].value,
-                    "margin": None, "censored": censored,
+                    **_event_stats(hits, plan.n_paths, eps), "rate": rates[k][d_idx].value,
                 })
-            rate_vals = [rates[k][d].value for d in range(len(plan.initial_data))]
-            if spec.kind == "open-ball":
+            terms = [c["eps_ln_p"] for c in cells]
+            rate_vals = [c["rate"] for c in cells]
+            censored_any = any(c["censored"] for c in cells)
+            if is_open:
                 margin = min(terms) + max(rate_vals)
                 lower_cells.append((margin, censored_any))
             else:
                 margin = max(terms) + min(rate_vals)
                 upper_cells.append((margin, censored_any))
-            for rec in records[-len(plan.initial_data):]:
-                rec["margin"] = margin
+            records.extend({**c, "margin": margin} for c in cells)
         lower_by_eps.append(lower_cells)
         upper_by_eps.append(upper_cells)
 
@@ -490,6 +487,7 @@ def dz_bounds_experiment(
         verdict=verdict,
         indeterminate_cells=straddling,
         notes="set events and rate constants share the time-averaged L2 geometry",
+        blow_up_count=blow_up_count,
     )
 
 
@@ -508,57 +506,34 @@ class UniformityReport:
             yield {"eps": eps, "spread": spread, "margins": list(ms)}
 
 
-def uniformity_sweep(
-    plan: LdpExperimentPlan,
-    controls: Sequence[Control],
-    rates: Sequence[Sequence[RateResult]],
-    base_seed: int = 0,
-) -> UniformityReport:
+def uniformity_sweep(report: LdpReport) -> UniformityReport:
     """Spread of the lower-probe margins across initial data, per epsilon.
 
     The uniform statements assert one epsilon threshold serving the whole
     data family; its desk-scale shadow is that the spread (max - min of
-    per-datum margins) stays bounded as epsilon shrinks. Pass: the final
-    spread does not exceed the initial spread by more than the plan slack.
-    A singleton data set makes the sweep vacuous (warning, trivially passed).
+    per-datum margins) stays bounded as epsilon shrinks. Each per-datum
+    margin is the min over controls of the fw report's fw-lower cells, so
+    the sweep simulates nothing. Pass: the final spread does not exceed the
+    initial spread by more than the report's slack. A singleton data set
+    makes the sweep vacuous (warning, trivially passed).
     """
-    controls = list(controls)
-    if not controls:
-        raise DependencyError("uniformity sweep needs at least one target control")
-    rates = _check_rate_grid(rates, len(plan.initial_data), len(controls), "uniformity")
-    model = plan.model
-    tg = plan.timegrid
-    targets = [[g0_map(model, u0, v, tg) for v in controls] for u0 in plan.initial_data]
-
-    margins_by_eps = []
-    for e_idx, eps in enumerate(plan.eps_list):
-        per_datum = []
-        for d_idx, u0 in enumerate(plan.initial_data):
-            cfg = SdeConfig(epsilon=eps, timegrid=tg, linf_guard=plan.linf_guard)
-            offset = (e_idx * len(plan.initial_data) + d_idx) * plan.n_paths
-            sums = batch_paths(
-                model, u0, cfg, plan.n_paths, base_seed,
-                stream_offset=offset, references=targets[d_idx],
-            )
-            if all(s_.blow_step is not None for s_ in sums):
-                raise EstimationError(f"every path blew up at eps={eps}, datum {d_idx}")
-            dmat = _select_dists(sums, plan.path_norm)
-            cell = []
-            for j in range(len(controls)):
-                hits = int(np.sum(dmat[:, j] < plan.delta))
-                _, hi = wilson_interval(hits, plan.n_paths)
-                log_term, _ = _log_margin(eps, hits / plan.n_paths, hi)
-                cell.append(log_term + rates[d_idx][j].value)
-            per_datum.append(min(cell))
-        margins_by_eps.append(per_datum)
-
+    cells = {}
+    for rec in report.records:
+        if rec["probe"] == "fw-lower":
+            cells.setdefault((rec["eps"], rec["datum"]), []).append(rec["margin"])
+    if not cells:
+        raise DependencyError("uniformity sweep needs the fw-lower cells of an fw report")
+    n_data = len({datum for _, datum in cells})
+    margins_by_eps = [
+        [min(cells[eps, d]) for d in range(n_data)] for eps in report.eps_list
+    ]
     spreads = [max(ms) - min(ms) for ms in margins_by_eps]
     warning = None
-    if len(plan.initial_data) == 1:
+    if n_data == 1:
         warning = "degenerate: a single initial datum makes uniformity vacuous"
-    passed = spreads[-1] <= spreads[0] + plan.slack
+    passed = spreads[-1] <= spreads[0] + report.slack
     return UniformityReport(
-        eps_list=list(plan.eps_list),
+        eps_list=list(report.eps_list),
         spreads=spreads,
         margins=margins_by_eps,
         warning=warning,

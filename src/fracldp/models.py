@@ -309,14 +309,6 @@ def noise_apply_array(noise: NoiseSpec, t: float, u: np.ndarray, w: np.ndarray) 
     return out
 
 
-def sigma_apply(noise: NoiseSpec, t: float, u: Field, v: np.ndarray) -> Field:
-    """Apply sigma(t, u) to a mode-coefficient vector: sum_k sigma_k(u)*v_k."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (noise.n_modes,):
-        raise GridMismatchError(f"expected {noise.n_modes} mode coefficients, got {v.shape}")
-    return Field(u.grid, noise_apply_array(noise, t, u.values, v))
-
-
 def hs_norm_sq(noise: NoiseSpec, t: float, u: Field) -> float:
     """Squared Hilbert-Schmidt norm sum_k ||sigma1_k + kappa*sigma2_k(u)||_L2^2."""
     modes = noise.mode_values(t, u.values)

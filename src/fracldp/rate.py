@@ -44,10 +44,6 @@ class OptimizationError(RuntimeError):
     """The penalty objective diverged (non-finite values or runaway growth)."""
 
 
-class DependencyError(RuntimeError):
-    """A required upstream computation (rate value, level set) is missing."""
-
-
 def action(v: Control) -> float:
     """(1/2) sum_n |v_n|^2 dt — the quadratic control cost; 0 iff v = 0."""
     return 0.5 * v.l2_sq()
@@ -275,6 +271,70 @@ def _stepwise_least_squares(model: ModelSpec, kernel: StepKernel, target_path: n
     return v
 
 
+def _penalty_continuation(objective, residual, x, tol, st, exact, tg) -> RateResult:
+    """The doubling penalty continuation behind every rate minimizer.
+
+    ``objective(z, mu)`` returns (J_mu(z), dJ/dz) — the gradient None when
+    ``exact`` is false, and L-BFGS then differences numerically — and may
+    raise BlowUpError; ``residual(z)`` is the constraint violation to drive
+    below ``tol``. Each continuation runs L-BFGS from the previous iterate,
+    doubles mu, and keeps the best-residual iterate seen; the starting one
+    counts, so a feasible warm start is never lost to a low-penalty wander.
+    Three continuations without a 1% gain end the run as infeasible.
+    Converged results carry the minimizer's action as value, the rest +inf.
+    """
+
+    def residual_or_inf(z):
+        try:
+            return residual(z)
+        except BlowUpError:
+            return float("inf")
+
+    mu = st.penalty0
+    best = (residual_or_inf(x), x.copy(), mu)
+    stall = 0
+    total_iters = 0
+    for _ in range(st.max_continuations if best[0] > tol else 0):
+        def fun(z, mu=mu):
+            try:
+                val, grad = objective(z, mu)
+            except BlowUpError:
+                # hand the line search a steep retreat toward smaller controls
+                val, grad = _RETREAT * (1.0 + float(z @ z)), 2.0 * _RETREAT * z
+            else:
+                if not np.isfinite(val):
+                    raise OptimizationError("penalty objective diverged to non-finite values")
+            return (val, grad) if exact else val
+
+        sol = optimize.minimize(
+            fun, x, jac=exact, method="L-BFGS-B",
+            options={"maxiter": st.max_iters, "gtol": st.gradient_tol, "ftol": 1e-15},
+        )
+        x = sol.x
+        total_iters += int(sol.nit)
+        res = residual_or_inf(x)
+        if res < best[0]:
+            stall = 0 if res < 0.99 * best[0] else stall + 1
+            best = (res, x.copy(), mu)
+        else:
+            stall += 1
+        if res <= tol or stall >= 3:  # three flat continuations: infeasible regime
+            break
+        mu *= 2.0
+
+    res, x, mu = best
+    if res > tol:
+        return RateResult(
+            value=float("inf"), minimizer=None, residual=res,
+            converged=False, iterations=total_iters, penalty=mu,
+        )
+    v = Control(tg, x.reshape(tg.n_steps, -1))
+    return RateResult(
+        value=action(v), minimizer=v, residual=res,
+        converged=True, iterations=total_iters, penalty=mu,
+    )
+
+
 def minimize_rate(
     model: ModelSpec,
     query: RateQuery,
@@ -331,69 +391,18 @@ def minimize_rate(
         x = np.zeros(dim)
 
     exact = _has_exact_gradients(model)
-    total_iters = 0
-    # seed with the starting iterate: a feasible warm start (the stepwise
-    # solve, typically) must never be lost to a low-penalty wander
-    mu = st.penalty0
-    best = (_residual_of(model, kernel, query.u0, x, target_path, target_endpoint), x.copy(), mu)
-    stall = 0
-    for _ in range(st.max_continuations if best[0] > tol else 0):
+
+    def objective(z, mu):
         if exact:
-            def fun(z, mu=mu):
-                try:
-                    val, grad, _ = _objective_and_grad(
-                        model, kernel, query.u0, z, mu, target_path, target_endpoint
-                    )
-                except BlowUpError:
-                    # hand the line search a steep retreat toward smaller controls
-                    return _RETREAT * (1.0 + float(z @ z)), 2.0 * _RETREAT * z
-                if not np.isfinite(val):
-                    raise OptimizationError("penalty objective diverged to non-finite values")
-                return val, grad
+            return _objective_and_grad(
+                model, kernel, query.u0, z, mu, target_path, target_endpoint
+            )[:2]
+        return _objective_fd(model, kernel, query.u0, z, mu, target_path, target_endpoint)[0], None
 
-            sol = optimize.minimize(
-                fun, x, jac=True, method="L-BFGS-B",
-                options={"maxiter": st.max_iters, "gtol": st.gradient_tol, "ftol": 1e-15},
-            )
-        else:
-            def fun(z, mu=mu):
-                try:
-                    val, _ = _objective_fd(
-                        model, kernel, query.u0, z, mu, target_path, target_endpoint
-                    )
-                except BlowUpError:
-                    return _RETREAT * (1.0 + float(z @ z))
-                if not np.isfinite(val):
-                    raise OptimizationError("penalty objective diverged to non-finite values")
-                return val
+    def residual(z):
+        return _residual_of(model, kernel, query.u0, z, target_path, target_endpoint)
 
-            sol = optimize.minimize(
-                fun, x, method="L-BFGS-B",
-                options={"maxiter": st.max_iters, "gtol": st.gradient_tol, "ftol": 1e-15},
-            )
-        x = sol.x
-        total_iters += int(sol.nit)
-        res = _residual_of(model, kernel, query.u0, x, target_path, target_endpoint)
-        if res < best[0]:
-            stall = 0 if res < 0.99 * best[0] else stall + 1
-            best = (res, x.copy(), mu)
-        else:
-            stall += 1
-        if res <= tol or stall >= 3:  # three flat continuations: infeasible regime
-            break
-        mu *= 2.0
-
-    res, x, mu = best
-    v = Control(tg, x.reshape(tg.n_steps, n_modes))
-    if res <= tol:
-        return RateResult(
-            value=action(v), minimizer=v, residual=res,
-            converged=True, iterations=total_iters, penalty=mu,
-        )
-    return RateResult(
-        value=float("inf"), minimizer=None, residual=res,
-        converged=False, iterations=total_iters, penalty=mu,
-    )
+    return _penalty_continuation(objective, residual, x, tol, st, exact, tg)
 
 
 def check_gradient(
@@ -644,72 +653,22 @@ def constrained_rate_minimum(
         gap = violation(dist)
         return 0.5 * tg.dt * float(np.sum(z**2)), dist, gap, states
 
-    mu = st.penalty0
-    try:
-        best = (value_and_gap(x)[2], x.copy(), mu)
-    except BlowUpError:
-        best = (float("inf"), x.copy(), mu)
-    stall = 0
-    total = 0
-    for _ in range(st.max_continuations if best[0] > st.residual_tol else 0):
-        if exact:
-            def fun(z, mu=mu):
-                try:
-                    act, dist, gap, states = value_and_gap(z)
-                except BlowUpError:
-                    return _RETREAT * (1.0 + float(z @ z)), 2.0 * _RETREAT * z
-                val = act + mu * gap**2
-                if not np.isfinite(val):
-                    raise OptimizationError("constrained objective diverged")
-                v = z.reshape(tg.n_steps, n_modes)
-                grad = tg.dt * v
-                if gap > 0.0 and dist > 0.0:
-                    # d(gap^2)/du_n = 2 gap s tw_n cv (u_n - phi_n)/(T dist),
-                    # s = +1 inside (dist too big), -1 outside (dist too small)
-                    sgn = 1.0 if mode == "inside" else -1.0
-                    scale = 2.0 * mu * gap * sgn * grid.cell_volume / (tg.horizon * dist)
-                    dpen = (scale * tw).reshape(-1, *([1] * grid.dim)) * (states - phi_ref)
-                    grad = grad + _adjoint_grad(model, kernel, states, tg.dt * v, dpen)
-                return val, grad.reshape(-1)
+    def objective(z, mu):
+        act, dist, gap, states = value_and_gap(z)
+        val = act + mu * gap**2
+        if not exact:
+            return val, None
+        v = z.reshape(tg.n_steps, n_modes)
+        grad = tg.dt * v
+        if gap > 0.0 and dist > 0.0:
+            # d(gap^2)/du_n = 2 gap s tw_n cv (u_n - phi_n)/(T dist),
+            # s = +1 inside (dist too big), -1 outside (dist too small)
+            sgn = 1.0 if mode == "inside" else -1.0
+            scale = 2.0 * mu * gap * sgn * grid.cell_volume / (tg.horizon * dist)
+            dpen = (scale * tw).reshape(-1, *([1] * grid.dim)) * (states - phi_ref)
+            grad = grad + _adjoint_grad(model, kernel, states, tg.dt * v, dpen)
+        return val, grad.reshape(-1)
 
-            sol = optimize.minimize(
-                fun, x, jac=True, method="L-BFGS-B",
-                options={"maxiter": st.max_iters, "gtol": st.gradient_tol, "ftol": 1e-15},
-            )
-        else:
-            def fun(z, mu=mu):
-                try:
-                    act, _, gap, _ = value_and_gap(z)
-                except BlowUpError:
-                    return _RETREAT * (1.0 + float(z @ z))
-                val = act + mu * gap**2
-                if not np.isfinite(val):
-                    raise OptimizationError("constrained objective diverged")
-                return val
-
-            sol = optimize.minimize(
-                fun, x, method="L-BFGS-B",
-                options={"maxiter": st.max_iters, "gtol": st.gradient_tol, "ftol": 1e-15},
-            )
-        x = sol.x
-        total += int(sol.nit)
-        try:
-            _, _, gap, _ = value_and_gap(x)
-        except BlowUpError:
-            gap = float("inf")
-        if gap < best[0]:
-            stall = 0 if gap < 0.99 * best[0] else stall + 1
-            best = (gap, x.copy(), mu)
-        else:
-            stall += 1
-        if gap <= st.residual_tol or stall >= 3:
-            break
-        mu *= 2.0
-
-    gap, x, mu = best
-    v = Control(tg, x.reshape(tg.n_steps, n_modes))
-    if gap <= st.residual_tol:
-        return RateResult(value=action(v), minimizer=v, residual=gap,
-                          converged=True, iterations=total, penalty=mu)
-    return RateResult(value=float("inf"), minimizer=None, residual=gap,
-                      converged=False, iterations=total, penalty=mu)
+    return _penalty_continuation(
+        objective, lambda z: value_and_gap(z)[2], x, st.residual_tol, st, exact, tg
+    )

@@ -6,10 +6,10 @@ independent scalar Brownian motions W_k feeding the mode family sigma_k.
 
     du = [-(-Delta)^alpha u - F(t,x,u) + g(t)] dt + sqrt(eps) sigma(t,u) dW,
 
-``simulate_shifted`` adds the control drift sigma(t,u) v(t) dt (the
-change-of-measure dynamics used by the variational analysis), and both funnel
-through the deterministic module's step kernel, so the eps -> 0 limit is the
-skeleton solver's arithmetic exactly.
+and with a ``shift`` control v adds the drift sigma(t,u) v(t) dt (the
+change-of-measure dynamics used by the variational analysis); every path
+funnels through the deterministic module's step kernel, so the eps -> 0 limit
+is the skeleton solver's arithmetic exactly.
 
 Streams are counter-based: path ``stream_id`` under base ``seed`` uses
 ``Philox(SeedSequence(entropy=seed, spawn_key=(stream_id,)))``, which makes
@@ -18,7 +18,7 @@ batches embarrassingly parallel and bit-reproducible regardless of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .grids import DomainError, Field, GridMismatchError
 from .grids import array_l2_sq, array_lp_pow, array_seminorm_sq
 from .models import ModelSpec
 from .skeleton import (
-    BlowUpError,
     Control,
     SkeletonSolution,
     StepKernel,
@@ -118,31 +117,30 @@ def _check_sde_inputs(model: ModelSpec, u0: Field, driver: WienerDriver) -> None
         )
 
 
-def simulate_sde(model: ModelSpec, u0: Field, cfg: SdeConfig, driver: WienerDriver) -> PathSample:
-    """One tamed IMEX Euler-Maruyama path of the eps-noise equation."""
-    _check_sde_inputs(model, u0, driver)
-    weights = np.sqrt(cfg.epsilon) * driver.increments(cfg.timegrid)
-    traj, l2_sq, semi_sq, lp_p = evolve_dense(model, u0, cfg.timegrid, weights, cfg.linf_guard)
-    sol = SkeletonSolution(
-        grid=model.grid, timegrid=cfg.timegrid, trajectory=traj,
-        l2_sq=l2_sq, halpha_semi_sq=semi_sq, lp_p=lp_p, p=model.drift.p,
-    )
-    return PathSample(solution=sol, epsilon=cfg.epsilon, seed=driver.seed, stream_id=driver.stream_id)
-
-
-def simulate_shifted(
-    model: ModelSpec, u0: Field, cfg: SdeConfig, v: Control, driver: WienerDriver
+def simulate_sde(
+    model: ModelSpec,
+    u0: Field,
+    cfg: SdeConfig,
+    driver: WienerDriver,
+    shift: Optional[Control] = None,
 ) -> PathSample:
-    """Controlled-plus-noise dynamics: drift shifted by sigma(t,u) v(t)."""
+    """One tamed IMEX Euler-Maruyama path of the eps-noise equation.
+
+    A ``shift`` control v adds the drift sigma(t,u) v(t) dt, as in
+    ``batch_paths``.
+    """
     _check_sde_inputs(model, u0, driver)
-    if v.timegrid != cfg.timegrid:
-        raise GridMismatchError("control lives on a different time grid")
-    if v.n_modes != model.noise.n_modes:
-        raise GridMismatchError("control mode count does not match the model noise")
-    weights = cfg.timegrid.dt * v.values + np.sqrt(cfg.epsilon) * driver.increments(cfg.timegrid)
-    traj, l2_sq, semi_sq, lp_p = evolve_dense(model, u0, cfg.timegrid, weights, cfg.linf_guard)
+    tg = cfg.timegrid
+    weights = np.sqrt(cfg.epsilon) * driver.increments(tg)
+    if shift is not None:
+        if shift.timegrid != tg:
+            raise GridMismatchError("shift control lives on a different time grid")
+        if shift.n_modes != model.noise.n_modes:
+            raise GridMismatchError("shift control mode count does not match the model noise")
+        weights += tg.dt * shift.values
+    traj, l2_sq, semi_sq, lp_p = evolve_dense(model, u0, tg, weights, cfg.linf_guard)
     sol = SkeletonSolution(
-        grid=model.grid, timegrid=cfg.timegrid, trajectory=traj,
+        grid=model.grid, timegrid=tg, trajectory=traj,
         l2_sq=l2_sq, halpha_semi_sq=semi_sq, lp_p=lp_p, p=model.drift.p,
     )
     return PathSample(solution=sol, epsilon=cfg.epsilon, seed=driver.seed, stream_id=driver.stream_id)

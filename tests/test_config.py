@@ -92,6 +92,19 @@ def test_q_cross_field_error_cites_range():
     assert cfg.model["q"] == 3.0
 
 
+@pytest.mark.parametrize("sections, keys", [
+    ({"timegrid": {"n_steps": 1}}, {"timegrid.n_steps"}),
+    # cubic_minus_linear is a p = 4 drift: another p would be dropped silently
+    ({"model": {"preset": "built", "p": 2.5, "q": 2.0}}, {"model.p"}),
+    # and the q range follows the p the drift really has, 1 + 4/2 = 3
+    ({"model": {"preset": "built", "p": 6.0, "q": 3.5}}, {"model.p", "model.q"}),
+    ({"model": {"preset": "built", "drift_form": "pure_power", "p": 2.0, "q": 2.0}},
+     {"model.p"}),
+], ids=["n-steps-1", "cubic-p2.5", "cubic-p6-q3.5", "pure-power-p2"])
+def test_config_rejects_what_the_constructors_reject(sections, keys):
+    assert keys <= error_keys(minimal(**sections))
+
+
 def test_built_keys_forbidden_for_presets():
     errs = errors_of(minimal(model={"preset": "default", "q": 2.5}))
     entry = next(e for e in errs if e["key"] == "model.q")

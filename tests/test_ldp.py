@@ -16,6 +16,7 @@ from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
 from fracldp.ldp import (
     DependencyError,
     LdpExperimentPlan,
+    LdpReport,
     PathSetSpec,
     dz_bounds_experiment,
     estimate_ball_probability,
@@ -459,7 +460,8 @@ def test_dz_validation(lab, dz_lab):
 
 def test_uniformity_bounded_spread(lab):
     plan = make_plan(lab)
-    rep = uniformity_sweep(plan, [lab["control"]], lab["rates"], base_seed=7)
+    fw = fw_bounds_experiment(plan, [lab["control"]], lab["rates"], base_seed=7)
+    rep = uniformity_sweep(fw)
     assert rep.passed
     assert rep.warning is None
     assert len(rep.spreads) == len(plan.eps_list)
@@ -473,15 +475,54 @@ def test_uniformity_bounded_spread(lab):
 def test_uniformity_singleton_degenerates(lab):
     plan = make_plan(lab, initial_data=(lab["u0"],), eps_list=(0.5, 0.2),
                      n_paths=300)
-    rep = uniformity_sweep(plan, [lab["control"]], [lab["rates"][0]], base_seed=1)
+    fw = fw_bounds_experiment(plan, [lab["control"]], [lab["rates"][0]], base_seed=1)
+    rep = uniformity_sweep(fw)
     assert rep.warning is not None and "degenerate" in rep.warning
     assert rep.spreads == [0.0, 0.0]
     assert rep.passed
 
 
-def test_uniformity_needs_rates(lab):
-    plan = make_plan(lab)
-    with pytest.raises(DependencyError):
-        uniformity_sweep(plan, [lab["control"]], None)
-    with pytest.raises(DependencyError):
-        uniformity_sweep(plan, [], lab["rates"])
+def test_uniformity_needs_fw_lower_cells():
+    upper_only = {
+        "probe": "fw-upper", "eps": 0.5, "datum": 0, "target": "level-0.2",
+        "p_hat": 0.5, "ci_lo": 0.4, "ci_hi": 0.6, "eps_ln_p": -0.3, "rate": 0.2,
+        "margin": -0.1, "censored": False,
+    }
+    for records in ([], [upper_only]):
+        report = LdpReport(
+            probe="fw", eps_list=[0.5], slack=0.5, records=records,
+            lower_margins=[], upper_margins=[], verdict="pass", indeterminate_cells=0,
+        )
+        with pytest.raises(DependencyError):
+            uniformity_sweep(report)
+
+
+def test_fw_lower_cells_ignore_level_references(lab):
+    """Level-set references ride in the same batch as the target paths, so
+    adding them must leave every fw-lower cell bit-identical; the uniformity
+    rows are derived from these cells."""
+    kw = dict(base_seed=7, n_level_samples=6)
+    plain = fw_bounds_experiment(
+        make_plan(lab, n_paths=300), [lab["control"]], lab["rates"], **kw
+    )
+    leveled = fw_bounds_experiment(
+        make_plan(lab, n_paths=300, s_levels=(0.2, 0.5)), [lab["control"]],
+        lab["rates"], **kw
+    )
+    assert [r for r in leveled.records if r["probe"] == "fw-lower"] == plain.records
+    assert leveled.lower_margins == plain.lower_margins
+
+
+def test_fw_counts_blown_paths(lab):
+    """A guard that trips some paths but not all shows on the report; a
+    looser guard on the same streams can only trip fewer."""
+    def blown(guard):
+        plan = make_plan(lab, initial_data=(lab["u0"],), eps_list=(0.5, 0.2),
+                         n_paths=200, linf_guard=guard)
+        rep = fw_bounds_experiment(plan, [lab["control"]], [lab["rates"][0]],
+                                   base_seed=7)
+        return rep.blow_up_count
+
+    tight, loose = blown(0.55), blown(0.6)
+    assert 0 < loose <= tight < 2 * 200
+    assert blown(1.0e6) == 0

@@ -1,11 +1,13 @@
 """Tests for the action functional, rate minimization, and level-set geometry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fracldp.grids import DomainError, Field, GridMismatchError
 from fracldp.skeleton import Control, TimeGrid
-from fracldp.zoo import build_model, standard_grid, zoo
+from fracldp.zoo import build_model, scalar_linear_model, standard_grid, zoo
 from fracldp import rate
 from fracldp.rate import (
     ContinuityCurve,
@@ -414,3 +416,28 @@ def test_constrained_validation(setup):
         constrained_rate_minimum(model, u0, phi0, -0.1, "inside", tg)
     with pytest.raises(GridMismatchError):
         constrained_rate_minimum(model, u0, phi0[:-1], 0.1, "inside", tg)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference fallback
+
+
+def test_finite_difference_branch_matches_exact_gradients():
+    """A drift without a derivative callback drops the optimizer to numeric
+    gradients; both branches must land on the same minima."""
+    exact = scalar_linear_model()
+    fd = replace(exact, drift=replace(exact.drift, deriv_callback=None))
+    assert rate._has_exact_gradients(exact) and not rate._has_exact_gradients(fd)
+    grid = exact.grid
+    tg = TimeGrid(1.0, 8)
+    u0 = Field(grid, np.full(grid.shape, 0.5))
+    endpoint = Field(grid, np.full(grid.shape, 0.6))
+    phi0 = g0_map(exact, u0, Control.zero(tg, exact.noise.n_modes), tg)
+    query = RateQuery(u0=u0, target_endpoint=endpoint, tau_end=1e-3)
+    for solve in (
+        lambda m: minimize_rate(m, query, tg),
+        lambda m: constrained_rate_minimum(m, u0, phi0, 0.2, "outside", tg),
+    ):
+        a, b = solve(exact), solve(fd)
+        assert a.converged and b.converged
+        assert abs(b.value - a.value) <= 1e-6 * abs(a.value)

@@ -19,7 +19,6 @@ from fracldp.stochastic import (
     energy_estimate,
     energy_estimate_check,
     simulate_sde,
-    simulate_shifted,
     uniform_convergence_experiment,
     wilson_interval,
 )
@@ -95,7 +94,7 @@ def test_shifted_with_zero_control_equals_unshifted(default_setup):
     cfg = SdeConfig(epsilon=0.1, timegrid=tg)
     drv = WienerDriver(m.noise.n_modes, seed=42, stream_id=0)
     plain = simulate_sde(m, u0, cfg, drv)
-    shifted = simulate_shifted(m, u0, cfg, Control.zero(tg, m.noise.n_modes), drv)
+    shifted = simulate_sde(m, u0, cfg, drv, shift=Control.zero(tg, m.noise.n_modes))
     assert np.array_equal(plain.trajectory, shifted.trajectory)
 
 
@@ -105,7 +104,7 @@ def test_vanishing_noise_recovers_skeleton(default_setup):
     v = Control(tg, rng.normal(size=(tg.n_steps, m.noise.n_modes)) * 0.4)
     cfg = SdeConfig(epsilon=1e-30, timegrid=tg)
     drv = WienerDriver(m.noise.n_modes, seed=5, stream_id=0)
-    path = simulate_shifted(m, u0, cfg, v, drv)
+    path = simulate_sde(m, u0, cfg, drv, shift=v)
     sk = solve_skeleton(m, u0, v)
     assert np.max(np.abs(path.trajectory - sk.trajectory)) < 1e-12
     plain = simulate_sde(m, u0, cfg, drv)
@@ -146,8 +145,8 @@ def test_simulate_input_validation(default_setup):
     with pytest.raises(GridMismatchError):
         simulate_sde(m, zoo.default_initial_datum(other), cfg, WienerDriver(m.noise.n_modes, 0))
     with pytest.raises(GridMismatchError):
-        simulate_shifted(m, u0, cfg, Control.zero(TimeGrid(0.5, 10), m.noise.n_modes),
-                         WienerDriver(m.noise.n_modes, 0))
+        simulate_sde(m, u0, cfg, WienerDriver(m.noise.n_modes, 0),
+                     shift=Control.zero(TimeGrid(0.5, 10), m.noise.n_modes))
 
 
 # ---------------------------------------------------------------------------
