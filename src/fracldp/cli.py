@@ -333,7 +333,7 @@ def _run_cvs_sweep(cfg: RunConfig):
     records.append({
         "kind": "verdict", "passed": bool(table.passed), "eta": table.eta,
     })
-    return records, {"blow_up_count": 0}, EXIT_OK
+    return records, {"blow_up_count": table.blow_up_count}, EXIT_OK
 
 
 EXPERIMENTS = {

@@ -477,6 +477,8 @@ class SamplingPlan:
             raise DomainError("n_samples must be at least 100")
         if self.u_max <= 0 or self.t_max < 0:
             raise DomainError("u_max must be positive and t_max non-negative")
+        if self.n_fields < 1:
+            raise DomainError("n_fields must be at least 1")
 
 
 @dataclass
@@ -541,11 +543,65 @@ def _normalized_min(margin: np.ndarray, scale: np.ndarray):
     return float(norm[idx]), idx
 
 
+def _linear_condition(a, b, c, lam):
+    """Margin a - lam*b + c and scale |a| + lam*|b| + c of a condition that is
+    linear in its constant lam (coercivity: a = F*u, b = |u|^p, c = psi1)."""
+    return a - lam * b + c, np.abs(a) + lam * np.abs(b) + c
+
+
+def _largest_lambda(a: np.ndarray, b: np.ndarray, c) -> float:
+    """Largest lam at which every sample's normalized ``_linear_condition``
+    margin is >= -MARGIN_TOL, in exact arithmetic.
+
+    For b > 0 and c >= 0 the normalized margin is non-increasing in lam, and a
+    sample passes iff lam <= (a+c+tol)/b (scale <= 1) or
+    lam <= (a+c+tol*(|a|+c))/(b*(1-tol)) (scale > 1). A sample with b <= 0
+    passes at every lam or at none; -inf marks the latter.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.maximum(
+            (a + c + MARGIN_TOL) / b,
+            (a + c + MARGIN_TOL * (np.abs(a) + c)) / (b * (1.0 - MARGIN_TOL)),
+        )
+    flat = ~(b > 0)
+    if np.any(flat):
+        margin, scale = _linear_condition(a[flat], 0.0, np.broadcast_to(c, b.shape)[flat], 0.0)
+        lam[flat] = np.where(margin / np.maximum(1.0, scale) >= -MARGIN_TOL, np.inf, -np.inf)
+    return float(np.min(lam))
+
+
+CERT_FLOOR = 1e-12  # below this no constant is certified (0.0)
+CERT_CAP = 2.0**20  # largest certificate reported
+CERT_ABOVE, CERT_BELOW = 2, 3  # floats around the closed form tried by the re-check
+
+
+def _certificate_candidates(lam: float) -> list:
+    """Floats from CERT_ABOVE above to CERT_BELOW below the closed form
+    ``lam``, largest first and clamped to CERT_CAP; none under CERT_FLOOR."""
+    if not lam >= CERT_FLOOR:
+        return []
+    top = lam
+    for _ in range(CERT_ABOVE):
+        top = float(np.nextafter(top, np.inf))
+    out = [min(top, CERT_CAP)]
+    while len(out) <= CERT_ABOVE + CERT_BELOW and out[-1] > CERT_FLOOR:
+        out.append(float(np.nextafter(out[-1], 0.0)))
+    return out
+
+
 def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec] = None) -> ValidationReport:
-    """Sample the three drift conditions; bisection certifies lambda1, lambda2.
+    """Sample the three drift conditions and certify lambda1, lambda2.
 
     Margins are normalized by the local term magnitude (see module docstring);
-    the pass threshold is -1e-9.
+    the pass threshold is -1e-9. The certificates are the largest constants
+    whose coercivity (lambda1) and monotonicity (lambda2) margins pass at the
+    declared psi bounds, in closed form (``_largest_lambda``) from the same
+    per-time pass that computes the margins: 0.0 when not even 1e-12 passes,
+    capped at 2^20. Rounding can leave the closed form an ulp or two off the
+    boundary of the float predicate, so a second pass re-checks a few floats
+    around it (``_certificate_candidates``) with the normalized predicate and
+    returns the largest that passes: a returned certificate always passes,
+    and 0.0 stands for none of them passing.
     """
     rng = np.random.default_rng(plan.seed)
     u = _scalar_samples(plan, rng)
@@ -553,91 +609,51 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     ts = np.linspace(0.0, plan.t_max, 5)
     coords = grid.coords() if grid is not None else [np.zeros(1)]
     p = drift.p
-
-    checks = []
-
-    def eval_f(t, uu):
-        return np.asarray(drift.value(t, coords, uu), dtype=float)
-
-    # coercivity and growth, tracked across sampled times
-    worst = None
-    worst_growth = None
-    for t in ts:
-        f = eval_f(t, u)
-        coercive = f * u - drift.lambda1 * np.abs(u) ** p + drift.psi1_bound
-        scale = np.abs(f * u) + drift.lambda1 * np.abs(u) ** p + drift.psi1_bound
-        m, i = _normalized_min(coercive, scale)
-        if worst is None or m < worst[0]:
-            worst = (m, {"t": float(t), "u": float(u[i])})
-        gr = drift.psi2_bound * np.abs(u) ** (p - 1.0) + drift.psi3_bound - np.abs(f)
-        m2, i2 = _normalized_min(gr, np.abs(f) + drift.psi2_bound * np.abs(u) ** (p - 1.0))
-        if worst_growth is None or m2 < worst_growth[0]:
-            worst_growth = (m2, {"t": float(t), "u": float(u[i2])})
-    checks.append(
-        ConditionCheck("drift-coercivity", worst[0], worst[0] >= -MARGIN_TOL, len(u) * len(ts), worst[1])
-    )
-    checks.append(
-        ConditionCheck(
-            "drift-growth", worst_growth[0], worst_growth[0] >= -MARGIN_TOL, len(u) * len(ts), worst_growth[1]
-        )
-    )
-
-    # monotonicity on pairs
-    worst_mono = None
-    for t in ts:
-        f1, f2 = eval_f(t, u), eval_f(t, u2)
-        du = u - u2
-        lhs = (f1 - f2) * du
-        pen = (signed_power(u, p - 1.0) - signed_power(u2, p - 1.0)) * du
-        margin = lhs - drift.lambda2 * pen + drift.psi4_bound * du**2
-        scale = np.abs(lhs) + drift.lambda2 * np.abs(pen) + drift.psi4_bound * du**2
-        m, i = _normalized_min(margin, scale)
-        if worst_mono is None or m < worst_mono[0]:
-            worst_mono = (m, {"t": float(t), "u1": float(u[i]), "u2": float(u2[i])})
-    checks.append(
-        ConditionCheck("drift-monotonicity", worst_mono[0], worst_mono[0] >= -MARGIN_TOL, len(u) * len(ts), worst_mono[1])
-    )
-
-    # certificates by bisection (largest constants passing at the declared psi)
-    def coercivity_ok(lam: float) -> bool:
-        for t in ts:
-            f = eval_f(t, u)
-            margin = f * u - lam * np.abs(u) ** p + drift.psi1_bound
-            scale = np.abs(f * u) + lam * np.abs(u) ** p + drift.psi1_bound
-            if _normalized_min(margin, scale)[0] < -MARGIN_TOL:
-                return False
-        return True
-
-    def monotonicity_ok(lam: float) -> bool:
-        for t in ts:
-            f1, f2 = eval_f(t, u), eval_f(t, u2)
-            du = u - u2
-            lhs = (f1 - f2) * du
-            pen = (signed_power(u, p - 1.0) - signed_power(u2, p - 1.0)) * du
-            margin = lhs - lam * pen + drift.psi4_bound * du**2
-            scale = np.abs(lhs) + lam * np.abs(pen) + drift.psi4_bound * du**2
-            if _normalized_min(margin, scale)[0] < -MARGIN_TOL:
-                return False
-        return True
-
-    def bisect_largest(ok, hi: float = 8.0) -> float:
-        if not ok(1e-12):
-            return 0.0
-        lo = 0.0
-        while ok(hi) and hi < 1e6:
-            hi *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    certificates = {
-        "lambda1": bisect_largest(coercivity_ok),
-        "lambda2": bisect_largest(monotonicity_ok),
+    du = u - u2
+    grow = drift.psi2_bound * np.abs(u) ** (p - 1.0)
+    # coercivity and monotonicity read a(t) - lam*b + c with b, c fixed in t:
+    # name -> (certificate, declared lam, b, c)
+    linear = {
+        "drift-coercivity": ("lambda1", drift.lambda1, np.abs(u) ** p, drift.psi1_bound),
+        "drift-monotonicity": (
+            "lambda2", drift.lambda2,
+            (signed_power(u, p - 1.0) - signed_power(u2, p - 1.0)) * du, drift.psi4_bound * du**2,
+        ),
     }
+
+    def slices():
+        """Per sampled time: F(t, u) and F(t, u2), each evaluated once, and a(t)."""
+        for t in ts:
+            f1 = np.asarray(drift.value(t, coords, u), dtype=float)
+            f2 = np.asarray(drift.value(t, coords, u2), dtype=float)
+            yield t, f1, {"drift-coercivity": f1 * u, "drift-monotonicity": (f1 - f2) * du}
+
+    worst = {}
+    closed = {"lambda1": np.inf, "lambda2": np.inf}
+    for t, f, a in slices():
+        found = {"drift-growth": _normalized_min(grow + drift.psi3_bound - np.abs(f), np.abs(f) + grow)}
+        for name, (cert, lam, b, c) in linear.items():
+            found[name] = _normalized_min(*_linear_condition(a[name], b, c, lam))
+            closed[cert] = min(closed[cert], _largest_lambda(a[name], b, c))
+        for name, (m, i) in found.items():
+            if name not in worst or m < worst[name][0]:
+                at = {"u1": float(u[i]), "u2": float(u2[i])} if name == "drift-monotonicity" else {"u": float(u[i])}
+                worst[name] = (m, {"t": float(t), **at})
+    checks = [
+        ConditionCheck(name, worst[name][0], worst[name][0] >= -MARGIN_TOL, len(u) * len(ts), worst[name][1])
+        for name in ("drift-coercivity", "drift-growth", "drift-monotonicity")
+    ]
+
+    # re-check: keep the candidates of each certificate that pass at every time
+    candidates = {cert: _certificate_candidates(lam) for cert, lam in closed.items()}
+    if any(candidates.values()):
+        for _, _, a in slices():
+            for name, (cert, _, b, c) in linear.items():
+                candidates[cert] = [
+                    lam for lam in candidates[cert]
+                    if _normalized_min(*_linear_condition(a[name], b, c, lam))[0] >= -MARGIN_TOL
+                ]
+    certificates = {cert: (cands[0] if cands else 0.0) for cert, cands in candidates.items()}
     return ValidationReport(checks=checks, constants={}, certificates=certificates)
 
 

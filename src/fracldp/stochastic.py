@@ -464,6 +464,7 @@ class ConvergenceTable:
     rows: list
     eta: float
     passed: bool
+    blow_up_count: int = 0  # paths that breached linf_guard, over all cells
 
     def as_rows(self):
         for r in self.rows:
@@ -522,6 +523,7 @@ def uniform_convergence_experiment(
             skeletons[(i, j)] = solve_skeleton(model, u0, v).trajectory
 
     rows = []
+    blow_up_count = 0
     for e_idx, eps in enumerate(eps_arr):
         cfg = SdeConfig(epsilon=eps, timegrid=tg)
         worst = None
@@ -533,6 +535,7 @@ def uniform_convergence_experiment(
                     stream_offset=offset, shift=v, references=[skeletons[(i, j)]],
                 )
                 exceed = sum(1 for s in sums if not (s.dists[0] <= eta))
+                blow_up_count += sum(1 for s in sums if s.blow_step is not None)
                 if worst is None or exceed > worst[0]:
                     worst = (exceed, (i, j))
         lo, hi = wilson_interval(worst[0], n_paths)
@@ -547,4 +550,6 @@ def uniform_convergence_experiment(
         rows[k + 1].ci_lo <= rows[k].ci_hi + 1e-12 for k in range(len(rows) - 1)
     )
     separated = rows[-1].ci_hi < rows[0].ci_lo
-    return ConvergenceTable(rows=rows, eta=eta, passed=trend_ok and separated)
+    return ConvergenceTable(
+        rows=rows, eta=eta, passed=trend_ok and separated, blow_up_count=blow_up_count
+    )

@@ -226,6 +226,24 @@ def test_blow_up_dominated_run_exits_3_but_persists(tmp_path):
     assert read_manifest(out / "manifest.json")["blow_up_count"] == 40
 
 
+def test_cvs_sweep_manifest_counts_blown_paths(tmp_path):
+    """A constant datum just above the guard: the tamed drift pulls it below
+    in one step, and the paths whose first noise increment points up by more
+    than the gap blow. With eta far above the noise only blown paths exceed
+    it, and one cell per eps makes each row's count that cell's."""
+    cfg = write_config(tmp_path, "cvs-sweep", SCALAR, {
+        "eps_list": [1.0, 0.1], "n_paths": 100, "eta": 10.0,
+        "control_amplitudes": [0.0],
+        "data": [{"kind": "constant", "level": 1.0e6 + 0.99}],
+    }, run={"seed": 3})
+    out = tmp_path / "out"
+    assert run_cli("cvs-sweep", cfg, out) == 0
+    cells = [r for r in read_ndjson(out / "records.ndjson") if r["kind"] == "cell"]
+    blown = read_manifest(out / "manifest.json")["blow_up_count"]
+    assert 0 < blown < 2 * 100
+    assert blown == sum(r["exceed_count"] for r in cells)
+
+
 def test_starved_optimizer_exits_4(tmp_path):
     cfg = write_config(tmp_path, "rate-min", SCALAR,
                        {"target": "endpoint", "endpoint_level": 40.0,

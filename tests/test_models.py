@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fracldp import zoo
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
 from fracldp.models import (
+    MARGIN_TOL,
     ConditionError,
     DriftOverflowError,
     DriftSpec,
@@ -28,6 +29,7 @@ from fracldp.models import (
     validate_drift,
     validate_noise,
 )
+from fracldp.models import _scalar_samples
 
 PLAN = SamplingPlan(n_samples=400, seed=7)
 
@@ -145,6 +147,92 @@ def test_validate_drift_catches_overclaimed_monotonicity():
     bad = DriftSpec(form="pure_power", p=4.0, lambda1=1.0, lambda2=6.0)
     rep = validate_drift(bad, PLAN)
     assert not rep.check("drift-monotonicity").passed
+
+
+def _overclaimed_coercivity():
+    return DriftSpec(form="cubic_minus_linear", p=4.0, lambda1=0.9, psi1_bound=0.5)
+
+
+def _overclaimed_monotonicity():
+    return DriftSpec(form="pure_power", p=4.0, lambda1=1.0, lambda2=6.0)
+
+
+CERTIFIED_DRIFTS = {
+    **{name: (lambda b=builder: b().drift) for name, builder in zoo.zoo().items()},
+    "overclaimed-coercivity": _overclaimed_coercivity,
+    "overclaimed-monotonicity": _overclaimed_monotonicity,
+}
+
+
+def _certificate_ok(drift, plan, cert, lam):
+    """The normalized certificate predicate, written out: the coercivity
+    ("lambda1") or monotonicity ("lambda2") margin at constant ``lam`` passes
+    at every sampled point and time."""
+    rng = np.random.default_rng(plan.seed)
+    u = _scalar_samples(plan, rng)
+    u2 = rng.permutation(u)
+    p, du, x = drift.p, u - u2, [np.zeros(1)]
+    for t in np.linspace(0.0, plan.t_max, 5):
+        f1 = drift.value(t, x, u)
+        if cert == "lambda1":
+            a, b, c = f1 * u, np.abs(u) ** p, drift.psi1_bound
+        else:
+            a = (f1 - drift.value(t, x, u2)) * du
+            b = (signed_power(u, p - 1.0) - signed_power(u2, p - 1.0)) * du
+            c = drift.psi4_bound * du**2
+        norm = (a - lam * b + c) / np.maximum(1.0, np.abs(a) + lam * np.abs(b) + c)
+        if np.min(norm) < -MARGIN_TOL:
+            return False
+    return True
+
+
+def _bisection_certificate(drift, plan, cert):
+    """Largest passing constant by bisection, the reference for the closed form."""
+    def ok(lam):
+        return _certificate_ok(drift, plan, cert, lam)
+
+    if not ok(1e-12):
+        return 0.0
+    lo, hi = 0.0, 8.0
+    while ok(hi) and hi < 1e6:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_DRIFTS))
+def test_certificates_pass_are_maximal_and_match_bisection(name):
+    drift = CERTIFIED_DRIFTS[name]()
+    rep = validate_drift(drift, PLAN)
+    for cert, lam in rep.certificates.items():
+        assert lam > 0.0
+        assert _certificate_ok(drift, PLAN, cert, lam)
+        assert not _certificate_ok(drift, PLAN, cert, float(np.nextafter(lam, np.inf)))
+        assert lam == pytest.approx(_bisection_certificate(drift, PLAN, cert), rel=1e-12, abs=0.0)
+
+
+def test_certificate_floor_and_ceiling():
+    # without psi1, u^4 - u^2 >= lam*u^4 fails near u = 0 for every lam
+    no_psi1 = DriftSpec(form="cubic_minus_linear", p=4.0, psi1_bound=0.0)
+    assert validate_drift(no_psi1, PLAN).certificates["lambda1"] == 0.0
+    steep = DriftSpec(form="custom-callback", p=4.0, callback=lambda t, x, u: 1e7 * u**3)
+    assert validate_drift(steep, PLAN).certificates == {"lambda1": 2.0**20, "lambda2": 2.0**20}
+
+
+def test_validate_drift_evaluation_budget():
+    """Margins and certificates take one pass over the sampled times plus one
+    re-check pass, two F calls per time each; a probe loop must not return."""
+    calls = []
+
+    def cubic(t, x, u):
+        calls.append(u.size)
+        return u**3 - u
+
+    rep = validate_drift(DriftSpec(form="custom-callback", p=4.0, callback=cubic), SamplingPlan())
+    assert rep.passed
+    assert 0 < len(calls) <= 30
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +428,9 @@ def test_sampling_plan_validation():
         SamplingPlan(n_samples=10)
     with pytest.raises(DomainError):
         SamplingPlan(n_samples=200, u_max=-1.0)
+    for n_fields in (0, -3):
+        with pytest.raises(DomainError):
+            SamplingPlan(n_samples=100, n_fields=n_fields)
 
 
 def test_zoo_members_validate_drift():
