@@ -549,14 +549,20 @@ def _linear_condition(a, b, c, lam):
     return a - lam * b + c, np.abs(a) + lam * np.abs(b) + c
 
 
-def _largest_lambda(a: np.ndarray, b: np.ndarray, c) -> float:
-    """Largest lam at which every sample's normalized ``_linear_condition``
+def _normalized(a, b, c, lam):
+    """Normalized ``_linear_condition`` margin per sample."""
+    margin, scale = _linear_condition(a, b, c, lam)
+    return margin / np.maximum(1.0, scale)
+
+
+def _closed_form_lambdas(a: np.ndarray, b: np.ndarray, c) -> np.ndarray:
+    """Per sample, the largest lam at which the normalized ``_linear_condition``
     margin is >= -MARGIN_TOL, in exact arithmetic.
 
     For b > 0 and c >= 0 the normalized margin is non-increasing in lam, and a
     sample passes iff lam <= (a+c+tol)/b (scale <= 1) or
     lam <= (a+c+tol*(|a|+c))/(b*(1-tol)) (scale > 1). A sample with b <= 0
-    passes at every lam or at none; -inf marks the latter.
+    is read at lam = 0: inf if it passes there, -inf if not.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.maximum(
@@ -565,28 +571,85 @@ def _largest_lambda(a: np.ndarray, b: np.ndarray, c) -> float:
         )
     flat = ~(b > 0)
     if np.any(flat):
-        margin, scale = _linear_condition(a[flat], 0.0, np.broadcast_to(c, b.shape)[flat], 0.0)
-        lam[flat] = np.where(margin / np.maximum(1.0, scale) >= -MARGIN_TOL, np.inf, -np.inf)
-    return float(np.min(lam))
+        lam[flat] = np.where(_normalized(a[flat], 0.0, c[flat], 0.0) >= -MARGIN_TOL, np.inf, -np.inf)
+    return lam
 
 
 CERT_FLOOR = 1e-12  # below this no constant is certified (0.0)
 CERT_CAP = 2.0**20  # largest certificate reported
-CERT_ABOVE, CERT_BELOW = 2, 3  # floats around the closed form tried by the re-check
+# A computed normalized margin is within 4*eps of the exact one for the same
+# float a, b, c, lam: margin and scale each take three rounded operations, the
+# divisor max(1, scale) is >= 1, and one rounded division follows. As the exact
+# margin is non-increasing in lam (b, c >= 0), a sample whose computed margin
+# at lam is >= -MARGIN_TOL + CERT_SLACK (twice that error and more) passes at
+# every float below lam too.
+CERT_SLACK = 16 * np.finfo(float).eps
 
 
-def _certificate_candidates(lam: float) -> list:
-    """Floats from CERT_ABOVE above to CERT_BELOW below the closed form
-    ``lam``, largest first and clamped to CERT_CAP; none under CERT_FLOOR."""
-    if not lam >= CERT_FLOOR:
-        return []
-    top = lam
-    for _ in range(CERT_ABOVE):
-        top = float(np.nextafter(top, np.inf))
-    out = [min(top, CERT_CAP)]
-    while len(out) <= CERT_ABOVE + CERT_BELOW and out[-1] > CERT_FLOOR:
-        out.append(float(np.nextafter(out[-1], 0.0)))
-    return out
+def _as_float(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+def _as_bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _largest_passing(ok, lo: float, hi: float) -> float:
+    """Largest float in [lo, hi) at which ``ok`` holds, given ok(lo) and not
+    ok(hi): bisection over the bit patterns, which order non-negative floats."""
+    lo_bits, hi_bits = _as_bits(lo), _as_bits(hi)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        lo_bits, hi_bits = (mid, hi_bits) if ok(_as_float(mid)) else (lo_bits, mid)
+    return _as_float(lo_bits)
+
+
+class _Certificate:
+    """Largest lam in [CERT_FLOOR, CERT_CAP] at which every sample of every
+    time slice passes the normalized ``_linear_condition`` predicate, built one
+    slice at a time without keeping the slices.
+
+    ``hi`` is CERT_CAP or a float at which some sample fails: the binding
+    sample of the per-sample closed form (``_closed_form_lambdas``) is stepped
+    up from its closed form, on its own, until its computed predicate fails.
+    Of each slice only the samples that can fail at some lam <= hi are kept
+    (computed margin at hi not >= -MARGIN_TOL + CERT_SLACK, or b < 0); the rest
+    pass on all of [0, hi]. ``value`` bisects the float predicate over the kept
+    samples, so the certificate passes every sample and the next float up does
+    not, however far rounding moves the boundary from the closed form.
+    """
+
+    def __init__(self) -> None:
+        self.closed = np.inf
+        self.hi = CERT_CAP
+        self.kept: list = []
+
+    def _ok(self, lam: float) -> bool:
+        return all(np.min(_normalized(a, b, c, lam), initial=np.inf) >= -MARGIN_TOL for a, b, c in self.kept)
+
+    def add(self, a: np.ndarray, b: np.ndarray, c) -> None:
+        c = np.broadcast_to(c, a.shape)
+        lam = _closed_form_lambdas(a, b, c)
+        j = int(np.argmin(lam))
+        if lam[j] < self.closed:
+            self.closed = float(lam[j])
+            one = (a[j : j + 1], b[j : j + 1], c[j : j + 1])
+            bits, step = _as_bits(min(max(self.closed, CERT_FLOOR), CERT_CAP)), 1
+            while _as_float(bits) < self.hi and np.all(_normalized(*one, _as_float(bits)) >= -MARGIN_TOL):
+                bits, step = bits + step, 2 * step
+            self.hi = min(self.hi, _as_float(bits))
+        kept = []
+        for abc in self.kept + [(a, b, c)]:
+            keep = ~(_normalized(*abc, self.hi) >= -MARGIN_TOL + CERT_SLACK) | (abc[1] < 0)  # NaN is kept
+            kept.append(tuple(x[keep] for x in abc))
+        self.kept = kept
+
+    def value(self) -> float:
+        if not self._ok(CERT_FLOOR):
+            return 0.0
+        if self._ok(self.hi):  # only at CERT_CAP: a kept sample fails below it
+            return self.hi
+        return _largest_passing(self._ok, CERT_FLOOR, self.hi)
 
 
 def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec] = None) -> ValidationReport:
@@ -595,13 +658,12 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     Margins are normalized by the local term magnitude (see module docstring);
     the pass threshold is -1e-9. The certificates are the largest constants
     whose coercivity (lambda1) and monotonicity (lambda2) margins pass at the
-    declared psi bounds, in closed form (``_largest_lambda``) from the same
-    per-time pass that computes the margins: 0.0 when not even 1e-12 passes,
-    capped at 2^20. Rounding can leave the closed form an ulp or two off the
-    boundary of the float predicate, so a second pass re-checks a few floats
-    around it (``_certificate_candidates``) with the normalized predicate and
-    returns the largest that passes: a returned certificate always passes,
-    and 0.0 stands for none of them passing.
+    declared psi bounds: 0.0 when not even 1e-12 passes, capped at 2^20. They
+    come from the same per-time pass that computes the margins, which
+    evaluates F(t, u) and F(t, u2) once per time: a per-sample closed form
+    finds the binding sample, and a bisection of the computed predicate over
+    the near-binding samples (``_Certificate``) gives the largest float that
+    passes, so a returned certificate always passes.
     """
     rng = np.random.default_rng(plan.seed)
     u = _scalar_samples(plan, rng)
@@ -621,20 +683,16 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
         ),
     }
 
-    def slices():
-        """Per sampled time: F(t, u) and F(t, u2), each evaluated once, and a(t)."""
-        for t in ts:
-            f1 = np.asarray(drift.value(t, coords, u), dtype=float)
-            f2 = np.asarray(drift.value(t, coords, u2), dtype=float)
-            yield t, f1, {"drift-coercivity": f1 * u, "drift-monotonicity": (f1 - f2) * du}
-
     worst = {}
-    closed = {"lambda1": np.inf, "lambda2": np.inf}
-    for t, f, a in slices():
+    certificates = {"lambda1": _Certificate(), "lambda2": _Certificate()}
+    for t in ts:
+        f = np.asarray(drift.value(t, coords, u), dtype=float)
+        f2 = np.asarray(drift.value(t, coords, u2), dtype=float)
+        a = {"drift-coercivity": f * u, "drift-monotonicity": (f - f2) * du}
         found = {"drift-growth": _normalized_min(grow + drift.psi3_bound - np.abs(f), np.abs(f) + grow)}
         for name, (cert, lam, b, c) in linear.items():
             found[name] = _normalized_min(*_linear_condition(a[name], b, c, lam))
-            closed[cert] = min(closed[cert], _largest_lambda(a[name], b, c))
+            certificates[cert].add(a[name], b, c)
         for name, (m, i) in found.items():
             if name not in worst or m < worst[name][0]:
                 at = {"u1": float(u[i]), "u2": float(u2[i])} if name == "drift-monotonicity" else {"u": float(u[i])}
@@ -643,18 +701,9 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
         ConditionCheck(name, worst[name][0], worst[name][0] >= -MARGIN_TOL, len(u) * len(ts), worst[name][1])
         for name in ("drift-coercivity", "drift-growth", "drift-monotonicity")
     ]
-
-    # re-check: keep the candidates of each certificate that pass at every time
-    candidates = {cert: _certificate_candidates(lam) for cert, lam in closed.items()}
-    if any(candidates.values()):
-        for _, _, a in slices():
-            for name, (cert, _, b, c) in linear.items():
-                candidates[cert] = [
-                    lam for lam in candidates[cert]
-                    if _normalized_min(*_linear_condition(a[name], b, c, lam))[0] >= -MARGIN_TOL
-                ]
-    certificates = {cert: (cands[0] if cands else 0.0) for cert, cands in candidates.items()}
-    return ValidationReport(checks=checks, constants={}, certificates=certificates)
+    return ValidationReport(
+        checks=checks, constants={}, certificates={cert: c.value() for cert, c in certificates.items()}
+    )
 
 
 def _synth_fields(grid: GridSpec, plan: SamplingPlan, rng: np.random.Generator) -> list[np.ndarray]:

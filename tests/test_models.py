@@ -157,10 +157,18 @@ def _overclaimed_monotonicity():
     return DriftSpec(form="pure_power", p=4.0, lambda1=1.0, lambda2=6.0)
 
 
+def _tight_coercivity(psi1):
+    """psi1 barely above max(u^2 - u^4) = 1/4: lambda1*|u|^4 is small against
+    |F*u| + psi1 at the binding sample, so rounding moves the float boundary
+    of the predicate many ulps away from the closed form."""
+    return lambda: DriftSpec(form="cubic_minus_linear", p=4.0, psi1_bound=psi1)
+
+
 CERTIFIED_DRIFTS = {
     **{name: (lambda b=builder: b().drift) for name, builder in zoo.zoo().items()},
     "overclaimed-coercivity": _overclaimed_coercivity,
     "overclaimed-monotonicity": _overclaimed_monotonicity,
+    **{f"tight-psi1-{psi1}": _tight_coercivity(psi1) for psi1 in (0.2501, 0.26, 0.3)},
 }
 
 
@@ -222,8 +230,8 @@ def test_certificate_floor_and_ceiling():
 
 
 def test_validate_drift_evaluation_budget():
-    """Margins and certificates take one pass over the sampled times plus one
-    re-check pass, two F calls per time each; a probe loop must not return."""
+    """Margins and certificates take one pass over the sampled times, two F
+    calls per time; a probe loop must not return."""
     calls = []
 
     def cubic(t, x, u):
