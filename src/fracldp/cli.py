@@ -12,7 +12,9 @@ dominated (guard breached on most paths); 4 optimizer non-convergence.
 Simulation batches are split into fixed-size chunks whose worker pool only
 changes wall-clock, never content: path streams are counter-based with
 absolute ids and the chunk shape is constant, so the records are identical
-for any ``--workers`` value.
+for any ``--workers`` value. The other subcommands run in one process; when
+they are given more than one worker, the manifest lists ``run.workers`` under
+``ignored_flags``.
 """
 
 from __future__ import annotations
@@ -463,6 +465,8 @@ def main(argv=None) -> int:
         },
         blow_up_count=info.get("blow_up_count", 0),
         tolerances=_numeric_knobs(cfg.experiment),
+        # only simulate runs a worker pool
+        ignored_flags=(["run.workers"] if cfg.run["workers"] > 1 and args.command != "simulate" else []),
     )
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     status = {EXIT_OK: "ok", EXIT_CONFIG: "validation-failed",

@@ -292,11 +292,40 @@ def array_l2_sq(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
 
 
 def array_lp_pow(grid: GridSpec, arr: np.ndarray, p: float) -> np.ndarray:
-    """||arr||_Lp^p over the trailing spatial axes."""
+    """||arr||_Lp^p over the trailing spatial axes.
+
+    p = 4 (the cubic drift's exponent) squares twice instead of calling the
+    float ``pow``.
+    """
+    if p == 4.0:
+        sq = arr * arr
+        return grid.cell_volume * np.sum(sq * sq, axis=_spatial_axes(grid))
     return grid.cell_volume * np.sum(np.abs(arr) ** p, axis=_spatial_axes(grid))
 
 
-def array_seminorm_sq(grid: GridSpec, multipliers: np.ndarray, hat: np.ndarray) -> np.ndarray:
-    """Seminorm^2 from an unnormalized FFT over the trailing spatial axes."""
+def half_spectrum_multipliers(grid: GridSpec) -> np.ndarray:
+    """Hermitian-weighted symbol multipliers on the ``rfftn`` half-spectrum.
+
+    ``rfftn`` over the spatial axes keeps the bins 0..N/2 of the last axis. A
+    real field's spectrum is Hermitian and the multipliers are even, so each
+    kept bin 1..N/2-1 also stands for its dropped conjugate mirror and gets
+    weight 2; the 0 and Nyquist (N/2) bins mirror onto kept bins and get
+    weight 1. The result is read-only, shape (*grid.shape[:-1], N//2 + 1).
+    """
+    n = grid.points_per_dim
+    half = fractional_symbol(grid).multipliers[..., : n // 2 + 1].copy()
+    half[..., 1 : n // 2] *= 2.0
+    half.setflags(write=False)
+    return half
+
+
+def array_seminorm_sq(grid: GridSpec, half_multipliers: np.ndarray, hat: np.ndarray) -> np.ndarray:
+    """Seminorm^2 from an unnormalized ``rfftn`` over the trailing spatial axes.
+
+    ``hat`` is in the half-spectrum layout and ``half_multipliers`` comes from
+    ``half_spectrum_multipliers``, so the weighted sum of ``re^2 + im^2``
+    over the kept bins equals the full-spectrum sum of multipliers*|hat|^2.
+    """
     w = grid.cell_volume / grid.n_total
-    return w * np.sum(multipliers * np.abs(hat) ** 2, axis=_spatial_axes(grid))
+    power = hat.real * hat.real + hat.imag * hat.imag
+    return w * np.sum(half_multipliers * power, axis=_spatial_axes(grid))

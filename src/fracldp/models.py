@@ -26,6 +26,7 @@ violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,7 +108,7 @@ class DriftSpec:
 
     def value(self, t: float, coords, u: np.ndarray) -> np.ndarray:
         if self.form == "cubic_minus_linear":
-            return u**3 - u
+            return u * u * u - u
         if self.form == "pure_power":
             return signed_power(u, self.p - 1.0)
         return self.callback(t, coords, u)
@@ -115,7 +116,7 @@ class DriftSpec:
     def deriv(self, t: float, coords, u: np.ndarray) -> Optional[np.ndarray]:
         """dF/du, or None when a custom drift ships no derivative."""
         if self.form == "cubic_minus_linear":
-            return 3.0 * u**2 - 1.0
+            return 3.0 * (u * u) - 1.0
         if self.form == "pure_power":
             return (self.p - 1.0) * np.abs(u) ** (self.p - 2.0)
         if self.deriv_callback is not None:
@@ -244,12 +245,20 @@ class NoiseSpec:
     def separable(self) -> bool:
         return self.form in ("smooth_power", "saturated_power")
 
+    @cached_property
+    def kappa_support(self) -> tuple:
+        """(flat indices where kappa != 0, kappa at them): the only points
+        where the state-dependent part kappa*sigma2 of a mode can be non-zero."""
+        flat = self.kappa.values.reshape(-1)
+        idx = np.flatnonzero(flat)
+        return idx, flat[idx]
+
     def profile(self, u: np.ndarray) -> np.ndarray:
         """Shared scalar profile s(u) of the built-in forms."""
         phi = np.abs(u) ** (self.q / 2.0)
         if self.form == "smooth_power":
-            return np.sign(u) * phi
-        return np.sign(u) * phi / (1.0 + self.saturation * phi)
+            return np.copysign(phi, u)
+        return np.copysign(phi / (1.0 + self.saturation * phi), u)
 
     def profile_deriv(self, u: np.ndarray) -> np.ndarray:
         dphi = (self.q / 2.0) * np.abs(u) ** (self.q / 2.0 - 1.0)
@@ -296,11 +305,16 @@ def noise_apply_array(noise: NoiseSpec, t: float, u: np.ndarray, w: np.ndarray) 
     batch = u.shape[: u.ndim - dim]
     if w.shape != (*batch, noise.n_modes):
         raise GridMismatchError(f"mode-weight shape {w.shape} does not match batch {batch}")
-    add = np.tensordot(w, noise.sigma1, axes=([-1], [0]))
+    add = (w @ noise.sigma1.reshape(noise.n_modes, -1)).reshape(u.shape)
     if noise.separable:
-        c = np.sqrt(noise.coeff_gamma)
-        scale = (w @ c).reshape(*batch, *([1] * dim))
-        return add + noise.kappa.values * noise.profile(u) * scale
+        # kappa*s(u) is evaluated on kappa's support only; elsewhere the
+        # modes are sigma1 alone
+        idx, kappa_on_support = noise.kappa_support
+        term = noise.profile(u.reshape(*batch, -1)[..., idx])
+        term *= kappa_on_support
+        term *= (w @ np.sqrt(noise.coeff_gamma))[..., None]
+        add.reshape(*batch, -1)[..., idx] += term
+        return add
     coords = grid.coords()
     out = add
     for k in range(noise.n_modes):
@@ -479,6 +493,10 @@ class SamplingPlan:
             raise DomainError("u_max must be positive and t_max non-negative")
         if self.n_fields < 1:
             raise DomainError("n_fields must be at least 1")
+        if not (self.field_amplitude_max > 0 and np.isfinite(self.field_amplitude_max)):
+            raise DomainError(
+                f"field_amplitude_max must be positive and finite, got {self.field_amplitude_max}"
+            )
 
 
 @dataclass

@@ -135,6 +135,7 @@ class RunManifest:
     ``outputs`` maps each artifact filename to its checksum; a file belongs to
     exactly one manifest (the one in its directory). Wall-clock and timing
     live here, never in the data outputs, so the data stay byte-reproducible.
+    ``ignored_flags`` names the run settings that had no effect on the run.
     """
 
     config_hash: str
@@ -145,6 +146,7 @@ class RunManifest:
     outputs: dict
     blow_up_count: int = 0
     tolerances: Optional[dict] = None
+    ignored_flags: list = dataclasses.field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -156,6 +158,7 @@ class RunManifest:
             "outputs": dict(self.outputs),
             "blow_up_count": self.blow_up_count,
             "tolerances": dict(self.tolerances or {}),
+            "ignored_flags": list(self.ignored_flags),
         }
 
 

@@ -136,8 +136,7 @@ def _forward_states(model: ModelSpec, kernel: StepKernel, u0: Field, weights: np
 
 def _apply_propagator(kernel: StepKernel, lam: np.ndarray) -> np.ndarray:
     """The integrating-factor operator; real-symmetric, hence self-adjoint."""
-    axes = kernel.spatial_axes
-    return np.fft.ifftn(np.fft.fftn(lam, axes=axes) * kernel.propagator, axes=axes).real
+    return kernel.irfft(kernel.rfft(lam) * kernel.half_propagator)
 
 
 def _mode_derivs(model: ModelSpec, t: float, u: np.ndarray) -> Optional[np.ndarray]:

@@ -10,12 +10,17 @@ explicit tamed drift and mode forcing, then the exact per-mode integrating
 factor of the fractional heat semigroup,
 
     u* = u_n + dt*(g - F/(1 + dt*|F|)) + sigma(t_n, u_n) w_n,
-    u_{n+1} = ifft(exp(-|xi|^(2 alpha) dt) fft(u*)),
+    u_{n+1} = irfft(exp(-|xi|^(2 alpha) dt) rfft(u*)),
 
 where w_n collects everything that multiplies the modes over the step
 (dt*v_n for the skeleton; the Wiener increment enters the same slot in the
 stochastic module, so the zero-noise limit reproduces this solver's
 arithmetic exactly).
+
+Fields are real, so the transforms are ``numpy.fft.rfftn``/``irfftn`` over the
+spatial axes: the spectrum is kept in the half layout whose last axis holds
+the bins 0..N/2, and the seminorm diagnostics weight it with
+``grids.half_spectrum_multipliers``.
 """
 
 from __future__ import annotations
@@ -26,8 +31,14 @@ from typing import Optional
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError, GridSpec
-from .grids import array_l2_sq, array_lp_pow, array_seminorm_sq, fractional_symbol
-from .models import ModelSpec
+from .grids import (
+    array_l2_sq,
+    array_lp_pow,
+    array_seminorm_sq,
+    fractional_symbol,
+    half_spectrum_multipliers,
+)
+from .models import ModelSpec, growth_constant, noise_apply_array
 
 
 class BlowUpError(RuntimeError):
@@ -108,49 +119,76 @@ class Control:
 
 @dataclass(frozen=True)
 class StepKernel:
-    """Precomputed per-step operators for one (model, timegrid) pair."""
+    """Precomputed per-step operators for one (model, timegrid) pair.
+
+    ``propagator`` is the integrating factor on the full grid shape;
+    ``half_propagator`` is its view on the ``rfftn`` half-spectrum, the one
+    the step applies. ``half_multipliers`` are the Hermitian-weighted symbol
+    multipliers that ``array_seminorm_sq`` takes.
+    """
 
     model: ModelSpec
     timegrid: TimeGrid
     propagator: np.ndarray = dc_field(repr=False, default=None)
-    multipliers: np.ndarray = dc_field(repr=False, default=None)
+    half_propagator: np.ndarray = dc_field(repr=False, default=None)
+    half_multipliers: np.ndarray = dc_field(repr=False, default=None)
     coords: tuple = dc_field(repr=False, default=None)
 
     @staticmethod
     def build(model: ModelSpec, timegrid: TimeGrid) -> "StepKernel":
-        sym = fractional_symbol(model.grid)
+        grid = model.grid
+        sym = fractional_symbol(grid)
         prop = np.exp(-sym.multipliers * timegrid.dt)
         prop.setflags(write=False)
         return StepKernel(
             model=model,
             timegrid=timegrid,
             propagator=prop,
-            multipliers=sym.multipliers,
-            coords=tuple(model.grid.coords()),
+            half_propagator=prop[..., : grid.points_per_dim // 2 + 1],
+            half_multipliers=half_spectrum_multipliers(grid),
+            coords=tuple(grid.coords()),
         )
 
     @property
     def spatial_axes(self) -> tuple:
         return tuple(range(-self.model.grid.dim, 0))
 
+    def rfft(self, u: np.ndarray) -> np.ndarray:
+        """Half-spectrum ``rfftn`` of ``u`` over the spatial axes."""
+        return np.fft.rfftn(u, s=self.model.grid.shape, axes=self.spatial_axes)
+
+    def irfft(self, hat: np.ndarray) -> np.ndarray:
+        """Inverse of ``rfft``: the real field of grid shape behind ``hat``."""
+        return np.fft.irfftn(hat, s=self.model.grid.shape, axes=self.spatial_axes)
+
 
 def step_once(kernel: StepKernel, t: float, u: np.ndarray, w: np.ndarray):
     """One IMEX step; ``u`` may carry leading batch axes, ``w`` is (*batch, K).
 
-    Returns (u_next, fft(u_next)); the hat is reused for spectral diagnostics.
+    The explicit update goes through ``rfftn``, the half-spectrum propagator
+    and ``irfftn``. Returns (u_next, hat): ``hat`` is the ``rfftn`` of u_next
+    over the spatial axes, shape (*batch, *grid.shape[:-1], N//2 + 1), reused
+    for the spectral diagnostics.
     """
     model = kernel.model
     dt = kernel.timegrid.dt
-    from .models import noise_apply_array  # local import to avoid cycle at module load
 
     # overflow here is legal: the guard in the evolve loops handles the fallout
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.asarray(model.drift.value(t, kernel.coords, u), dtype=float)
-        tamed = f / (1.0 + dt * np.abs(f))
-        u_star = u + dt * (model.forcing.value(t) - tamed) + noise_apply_array(model.noise, t, u, w)
-        hat = np.fft.fftn(u_star, axes=kernel.spatial_axes)
-        hat *= kernel.propagator
-        return np.fft.ifftn(hat, axes=kernel.spatial_axes).real, hat
+        f = np.broadcast_to(np.asarray(model.drift.value(t, kernel.coords, u), dtype=float), u.shape)
+        # u* = u + dt*(g - f/(1 + dt*|f|)) + noise, in this order of
+        # operations, built in one fresh buffer (f may alias a callback's data)
+        u_star = np.abs(f)
+        u_star *= dt
+        u_star += 1.0
+        np.divide(f, u_star, out=u_star)
+        np.subtract(model.forcing.value(t), u_star, out=u_star)
+        u_star *= dt
+        u_star += u
+        u_star += noise_apply_array(model.noise, t, u, w)
+        hat = kernel.rfft(u_star)
+        hat *= kernel.half_propagator
+        return kernel.irfft(hat), hat
 
 
 @dataclass
@@ -201,10 +239,10 @@ def evolve_dense(model: ModelSpec, u0: Field, tg: TimeGrid, weights: np.ndarray,
     lp_p = np.empty(tg.n_steps + 1)
 
     u = u0.values.copy()
-    hat = np.fft.fftn(u, axes=kernel.spatial_axes)
+    hat = kernel.rfft(u)
     traj[0] = u
     l2_sq[0] = array_l2_sq(grid, u)
-    semi_sq[0] = array_seminorm_sq(grid, kernel.multipliers, hat)
+    semi_sq[0] = array_seminorm_sq(grid, kernel.half_multipliers, hat)
     lp_p[0] = array_lp_pow(grid, u, p)
 
     ts = tg.times()
@@ -215,7 +253,7 @@ def evolve_dense(model: ModelSpec, u0: Field, tg: TimeGrid, weights: np.ndarray,
             raise BlowUpError(n + 1, mag)
         traj[n + 1] = u
         l2_sq[n + 1] = array_l2_sq(grid, u)
-        semi_sq[n + 1] = array_seminorm_sq(grid, kernel.multipliers, hat)
+        semi_sq[n + 1] = array_seminorm_sq(grid, kernel.half_multipliers, hat)
         lp_p[n + 1] = array_lp_pow(grid, u, p)
 
     traj.setflags(write=False)
@@ -250,6 +288,16 @@ def solve_skeleton(
 # path norms
 
 
+def _norm_series(grid: GridSpec, traj: np.ndarray, p: float):
+    """Per-time (||u||_L2^2, seminorm^2, ||u||_Lp^p) of a trajectory."""
+    hat = np.fft.rfftn(traj, axes=tuple(range(-grid.dim, 0)))
+    return (
+        array_l2_sq(grid, traj),
+        array_seminorm_sq(grid, half_spectrum_multipliers(grid), hat),
+        array_lp_pow(grid, traj, p),
+    )
+
+
 def path_norm_components(
     grid: GridSpec, timegrid: TimeGrid, traj: np.ndarray, p: float
 ) -> tuple[float, float, float]:
@@ -258,11 +306,7 @@ def path_norm_components(
     The middle component integrates the full space norm ||.||_L2^2 + seminorm^2;
     time integrals use the trapezoid rule on the step grid.
     """
-    sym = fractional_symbol(grid)
-    hat = np.fft.fftn(traj, axes=tuple(range(-grid.dim, 0)))
-    l2_sq = array_l2_sq(grid, traj)
-    semi_sq = array_seminorm_sq(grid, sym.multipliers, hat)
-    lp_p = array_lp_pow(grid, traj, p)
+    l2_sq, semi_sq, lp_p = _norm_series(grid, traj, p)
     ts = timegrid.times()
     c_h = float(np.sqrt(np.max(l2_sq)))
     l2_v = float(np.sqrt(np.trapezoid(l2_sq + semi_sq, ts)))
@@ -337,8 +381,6 @@ def _cumtrapz(y: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def apriori_bound_report(model: ModelSpec, sol: SkeletonSolution, u0: Field, control: Control) -> BoundReport:
-    from .models import growth_constant
-
     tg = sol.timegrid
     ts = sol.times()
     lam1 = model.drift.lambda1
@@ -392,12 +434,7 @@ def lipschitz_experiment(
     tg = v_a.timegrid
     sol_a = solve_skeleton(model, u0_a, v_a)
     sol_b = solve_skeleton(model, u0_b, v_b)
-    diff = sol_a.trajectory - sol_b.trajectory
-    sym_mult = StepKernel.build(model, tg).multipliers
-    l2_sq = array_l2_sq(model.grid, diff)
-    hat = np.fft.fftn(diff, axes=tuple(range(-model.grid.dim, 0)))
-    semi_sq = array_seminorm_sq(model.grid, sym_mult, hat)
-    lp_p = array_lp_pow(model.grid, diff, model.drift.p)
+    l2_sq, semi_sq, lp_p = _norm_series(model.grid, sol_a.trajectory - sol_b.trajectory, model.drift.p)
     ts = tg.times()
     d_out = float(np.max(l2_sq) + np.trapezoid(l2_sq + semi_sq, ts) + np.trapezoid(lp_p, ts))
     d_in = float(array_l2_sq(model.grid, u0_a.values - u0_b.values) + tg.dt * np.sum((v_a.values - v_b.values) ** 2))

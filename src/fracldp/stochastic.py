@@ -238,11 +238,12 @@ def batch_paths(
     tw[0] = tw[-1] = 0.5 * tg.dt
 
     u = np.broadcast_to(u0.values, (n_paths, *grid.shape)).copy()
-    hat = np.fft.fftn(u, axes=kernel.spatial_axes)
-    ref_hats = [np.fft.fftn(r, axes=kernel.spatial_axes) for r in references]
+    hat = kernel.rfft(u)
+    ref_hats = [kernel.rfft(r) for r in references]
+    half_mult = kernel.half_multipliers
 
     l2_sq = array_l2_sq(grid, u)
-    semi_sq = array_seminorm_sq(grid, kernel.multipliers, hat)
+    semi_sq = array_seminorm_sq(grid, half_mult, hat)
     lp_pow = array_lp_pow(grid, u, p)
     sup_l2_sq = l2_sq.copy()
     v_acc = tw[0] * (l2_sq + semi_sq)
@@ -258,7 +259,7 @@ def batch_paths(
         diff = u - references[j][0]
         dl2 = array_l2_sq(grid, diff)
         d_sup_sq[:, j] = dl2
-        d_v_acc[:, j] = tw[0] * (dl2 + array_seminorm_sq(grid, kernel.multipliers, hat - ref_hats[j][0]))
+        d_v_acc[:, j] = tw[0] * (dl2 + array_seminorm_sq(grid, half_mult, hat - ref_hats[j][0]))
         d_lp_acc[:, j] = tw[0] * array_lp_pow(grid, diff, p)
         d_l2_acc[:, j] = tw[0] * dl2
 
@@ -271,12 +272,16 @@ def batch_paths(
         if np.any(newly):
             blow_step[newly] = n + 1
         alive = blow_step == 0
-        # frozen members keep their last finite state
-        u = np.where(alive.reshape((-1,) + (1,) * grid.dim), u_next, u)
-        hat = np.where(alive.reshape((-1,) + (1,) * grid.dim), hat_next, hat)
+        if alive.all():
+            u, hat = u_next, hat_next
+        else:
+            # frozen members keep their last finite state
+            alive_mask = alive.reshape((-1,) + (1,) * grid.dim)
+            u = np.where(alive_mask, u_next, u)
+            hat = np.where(alive_mask, hat_next, hat)
 
         l2_sq = array_l2_sq(grid, u)
-        semi_sq = array_seminorm_sq(grid, kernel.multipliers, hat)
+        semi_sq = array_seminorm_sq(grid, half_mult, hat)
         lp_pow = array_lp_pow(grid, u, p)
         np.maximum(sup_l2_sq, np.where(alive, l2_sq, sup_l2_sq), out=sup_l2_sq)
         w = tw[n + 1] if n + 1 < tg.n_steps else tw[-1]
@@ -286,7 +291,7 @@ def batch_paths(
             diff = u - references[j][n + 1]
             dl2 = array_l2_sq(grid, diff)
             np.maximum(d_sup_sq[:, j], np.where(alive, dl2, 0.0), out=d_sup_sq[:, j])
-            dsemi = array_seminorm_sq(grid, kernel.multipliers, hat - ref_hats[j][n + 1])
+            dsemi = array_seminorm_sq(grid, half_mult, hat - ref_hats[j][n + 1])
             d_v_acc[:, j] += np.where(alive, w * (dl2 + dsemi), 0.0)
             d_lp_acc[:, j] += np.where(alive, w * array_lp_pow(grid, diff, p), 0.0)
             d_l2_acc[:, j] += np.where(alive, w * dl2, 0.0)

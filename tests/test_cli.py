@@ -157,6 +157,19 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     run_cli("simulate", cfg, pooled, "--workers", 2)
     assert (serial / "records.ndjson").read_bytes() == \
         (pooled / "records.ndjson").read_bytes()
+    assert read_manifest(pooled / "manifest.json")["ignored_flags"] == []
+
+
+def test_ignored_workers_flag_is_listed_in_the_manifest(tmp_path):
+    model, experiment = HAPPY["mc-ldp"]
+    cfg = write_config(tmp_path, "mc-ldp", model, experiment)
+    single, pooled = tmp_path / "single", tmp_path / "pooled"
+    assert run_cli("mc-ldp", cfg, single) == 0
+    assert run_cli("mc-ldp", cfg, pooled, "--workers", 2) == 0
+    assert read_manifest(single / "manifest.json")["ignored_flags"] == []
+    assert read_manifest(pooled / "manifest.json")["ignored_flags"] == ["run.workers"]
+    assert (single / "records.ndjson").read_bytes() == \
+        (pooled / "records.ndjson").read_bytes()
 
 
 def test_seed_override_changes_draws_and_manifest(tmp_path):

@@ -209,6 +209,33 @@ def test_lp_interpolation_l2_against_l1_l4(seed, amplitude):
     assert n2 <= n1 ** (1.0 / 3.0) * n4 ** (2.0 / 3.0) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("dim,points", [(1, 32), (2, 16), (3, 8)])
+def test_half_spectrum_seminorm_matches_full_fft(dim, points):
+    # a checkerboard along the last axis puts energy in its Nyquist bin, the
+    # one bin besides 0 that the Hermitian weighting must count once
+    g = GridSpec(dim=dim, half_length=2.0, points_per_dim=points, alpha=0.7)
+    sym = grids.fractional_symbol(g)
+    rng = np.random.default_rng(dim)
+    checker = (-1.0) ** np.arange(points)
+    fields = [
+        Field(g, rng.standard_normal(g.shape) + 3.0 * checker),
+        Field(g, np.broadcast_to(checker, g.shape)),
+    ]
+    hat = np.fft.rfftn(np.stack([f.values for f in fields]), axes=tuple(range(-dim, 0)))
+    got = grids.array_seminorm_sq(g, grids.half_spectrum_multipliers(g), hat)
+    for value, f in zip(got, fields):
+        assert value == pytest.approx(grids.halpha_seminorm(f, sym) ** 2, rel=1e-12)
+
+
+def test_lp_pow_four_matches_float_pow():
+    g = GridSpec(dim=2, half_length=2.0, points_per_dim=16, alpha=0.5)
+    rng = np.random.default_rng(11)
+    arr = rng.standard_normal((3, *g.shape)) * np.array([1e-3, 1.0, 1e3])[:, None, None]
+    want = g.cell_volume * np.sum(np.abs(arr) ** 4.0, axis=(-2, -1))
+    assert np.allclose(grids.array_lp_pow(g, arr, 4.0), want, rtol=1e-14, atol=0.0)
+    assert np.allclose(grids.array_lp_pow(g, arr, 4), want, rtol=1e-14, atol=0.0)
+
+
 def test_lp_norm_inf_and_validation():
     g = GridSpec(points_per_dim=8)
     f = Field(g, np.array([0.0, -3.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0]))

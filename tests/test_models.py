@@ -439,6 +439,9 @@ def test_sampling_plan_validation():
     for n_fields in (0, -3):
         with pytest.raises(DomainError):
             SamplingPlan(n_samples=100, n_fields=n_fields)
+    for amplitude in (0.0, -2.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            SamplingPlan(n_samples=100, field_amplitude_max=amplitude)
 
 
 def test_zoo_members_validate_drift():

@@ -5,16 +5,26 @@ import numpy as np
 import pytest
 
 from fracldp import zoo
-from fracldp.grids import DomainError, Field, GridMismatchError, array_l2_sq
+from fracldp.grids import (
+    DomainError,
+    Field,
+    GridMismatchError,
+    GridSpec,
+    array_l2_sq,
+    fractional_symbol,
+)
+from fracldp.models import DriftSpec
 from fracldp.skeleton import (
     BlowUpError,
     Control,
+    StepKernel,
     TimeGrid,
     apriori_bound_report,
     lipschitz_experiment,
     path_distance,
     path_norm_components,
     solve_skeleton,
+    step_once,
     tail_mass_scan,
     weak_continuity_experiment,
 )
@@ -64,6 +74,49 @@ def test_control_values_read_only():
     v = Control(TimeGrid(1.0, 4), np.ones((4, 2)))
     with pytest.raises(ValueError):
         v.values[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# step kernel against its complex-FFT, float-pow reference
+
+
+def _reference_step(model, tg, t, u, w):
+    """The IMEX step on full complex FFTs with float powers, written out."""
+    grid, noise, dt = model.grid, model.noise, tg.dt
+    axes = tuple(range(-grid.dim, 0))
+    f = u**3 - u
+    phi = np.abs(u) ** (noise.q / 2.0)
+    profile = np.sign(u) * phi / (1.0 + noise.saturation * phi)
+    scale = (w @ np.sqrt(noise.coeff_gamma)).reshape(-1, *([1] * grid.dim))
+    sigma_w = np.tensordot(w, noise.sigma1, axes=([-1], [0])) + noise.kappa.values * profile * scale
+    u_star = u + dt * (model.forcing.value(t) - f / (1.0 + dt * np.abs(f))) + sigma_w
+    hat = np.fft.fftn(u_star, axes=axes) * np.exp(-fractional_symbol(grid).multipliers * dt)
+    return np.fft.ifftn(hat, axes=axes).real, hat
+
+
+@pytest.mark.parametrize("dim,points", [(1, 32), (2, 16)])
+def test_step_once_matches_complex_fft_reference(dim, points):
+    grid = GridSpec(dim=dim, half_length=2.0, points_per_dim=points, alpha=0.8)
+    model = zoo.build_model(grid)  # cubic drift, saturated noise, bump kappa
+    tg = TimeGrid(horizon=0.5, n_steps=8)
+    kernel = StepKernel.build(model, tg)
+    rng = np.random.default_rng(dim)
+    u = rng.standard_normal((5, *grid.shape))
+    w = 0.3 * rng.standard_normal((5, model.noise.n_modes))
+    u_next, hat = step_once(kernel, 0.125, u, w)
+    ref_u, ref_hat = _reference_step(model, tg, 0.125, u, w)
+    assert np.max(np.abs(u_next - ref_u)) <= 1e-12 * np.max(np.abs(ref_u))
+    half = ref_hat[..., : points // 2 + 1]
+    assert hat.shape == half.shape
+    assert np.max(np.abs(hat - half)) <= 1e-12 * np.max(np.abs(half))
+
+
+def test_cubic_drift_matches_float_pow():
+    # both forms round a few times, so compare against the size of the terms
+    drift = DriftSpec()
+    u = np.concatenate([np.linspace(-3.0, 3.0, 2001), [1.0 + 1e-9, 3.0 ** -0.5, 1e-12, 1e3]])
+    assert np.all(np.abs(drift.value(0.0, None, u) - (u**3 - u)) <= 1e-14 * (np.abs(u) ** 3 + np.abs(u)))
+    assert np.all(np.abs(drift.deriv(0.0, None, u) - (3.0 * u**2 - 1.0)) <= 1e-14 * (3.0 * u**2 + 1.0))
 
 
 # ---------------------------------------------------------------------------
