@@ -69,10 +69,15 @@ class OptimizerSettings:
     residual_tol: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.max_continuations < 1:
-            raise DomainError("iteration budgets must be positive")
-        if self.penalty0 <= 0 or self.residual_tol <= 0 or self.gradient_tol <= 0:
-            raise DomainError("tolerances and the initial penalty must be positive")
+        # the ranges the config layer enforces for the same keys
+        for name in ("max_iters", "max_continuations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("gradient_tol", "penalty0", "residual_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass
@@ -88,8 +93,8 @@ class RateQuery:
     def __post_init__(self) -> None:
         if (self.target_path is None) == (self.target_endpoint is None):
             raise DomainError("exactly one of target_path / target_endpoint is required")
-        if self.tau_end <= 0:
-            raise DomainError("tau_end must be positive")
+        if not (np.isfinite(self.tau_end) and self.tau_end > 0):
+            raise DomainError(f"tau_end must be finite and > 0, got {self.tau_end!r}")
 
     @property
     def mode(self) -> str:
@@ -139,23 +144,11 @@ def _apply_propagator(kernel: StepKernel, lam: np.ndarray) -> np.ndarray:
     return kernel.irfft(kernel.rfft(lam) * kernel.half_propagator)
 
 
-def _mode_derivs(model: ModelSpec, t: float, u: np.ndarray) -> Optional[np.ndarray]:
-    """d sigma_k / du stacked over k, or None when unavailable (callback case)."""
-    noise = model.noise
-    out = np.empty((noise.n_modes, *u.shape))
-    for k in range(noise.n_modes):
-        d = noise.sigma2_mode_deriv(t, k, u)
-        if d is None:
-            return None
-        out[k] = noise.kappa.values * np.asarray(d)
-    return out
-
-
 def _has_exact_gradients(model: ModelSpec) -> bool:
     probe = np.zeros(model.grid.shape)
     if model.drift.deriv(0.0, tuple(model.grid.coords()), probe) is None:
         return False
-    return _mode_derivs(model, 0.0, probe) is not None
+    return model.noise.separable or model.noise.sigma2_deriv_callback is not None
 
 
 def _dist_sq_and_partials(grid, tg, states, target_path, target_endpoint):
@@ -177,6 +170,49 @@ def _dist_sq_and_partials(grid, tg, states, target_path, target_endpoint):
     return dist_sq, dpen
 
 
+def _linearize(model: ModelSpec, kernel: StepKernel, states: np.ndarray, weights: np.ndarray):
+    """State-only factors of the costate recursion at u_0..u_{N-1}, all steps at once.
+
+    Returns ``jac``, the (n_steps, *grid.shape) stack of J_n, and ``sig2``, the
+    (n_steps, K, S) stack of kappa*sigma2_k(t_n, u_n) at the S points of
+    kappa's support (elsewhere a mode is its state-free sigma1_k). Built-in
+    drifts and separable noise ignore t, so each is one call on the whole
+    stack; callbacks take a scalar t, so they are called once per step at its
+    own t_n.
+    """
+    tg = kernel.timegrid
+    dt = tg.dt
+    drift, noise = model.drift, model.noise
+    u = states[:-1]
+    ts = tg.times()[:-1]
+
+    def per_step(fn):
+        return np.stack([np.broadcast_to(np.asarray(fn(t, u_n), dtype=float), u_n.shape)
+                         for t, u_n in zip(ts, u)])
+
+    if drift.form == "custom-callback":
+        f = per_step(lambda t, u_n: drift.value(t, kernel.coords, u_n))
+        fprime = per_step(lambda t, u_n: drift.deriv(t, kernel.coords, u_n))
+    else:
+        f, fprime = drift.value(0.0, kernel.coords, u), drift.deriv(0.0, kernel.coords, u)
+    jac = 1.0 - dt * fprime / (1.0 + dt * np.abs(f)) ** 2
+
+    idx, kappa_on_support = noise.kappa_support
+    if noise.separable:  # sigma2_k = sqrt(gamma_k) s(u)
+        u_s = u.reshape(tg.n_steps, -1)[:, idx]
+        root = np.sqrt(noise.coeff_gamma)[:, None]
+        sig2 = root * (kappa_on_support * noise.profile(u_s))[:, None, :]
+        dsig2 = root * (kappa_on_support * noise.profile_deriv(u_s))[:, None, :]
+    else:
+        def on_support(mode):  # mode(t, k, u) at every step and mode
+            stack = np.stack([per_step(lambda t, u_n: mode(t, k, u_n)) for k in range(noise.n_modes)], axis=1)
+            return kappa_on_support * stack.reshape(tg.n_steps, noise.n_modes, -1)[..., idx]
+
+        sig2, dsig2 = on_support(noise.sigma2_mode), on_support(noise.sigma2_mode_deriv)
+    jac.reshape(tg.n_steps, -1)[:, idx] += np.einsum("nk,nks->ns", weights, dsig2)
+    return jac, sig2
+
+
 def _adjoint_grad(model, kernel, states, weights, dpen) -> np.ndarray:
     """Backward costate sweep for d(target term)/dv given its state partials.
 
@@ -188,25 +224,24 @@ def _adjoint_grad(model, kernel, states, weights, dpen) -> np.ndarray:
 
     and the returned (n_steps, K) array is dt <sigma_k(u_n), E lam_{n+1}>_grid
     — the target term's gradient in v (the action term adds dt v separately).
+
+    J_n and sigma_k(u_n) depend on the forward states only, so the sweep runs
+    in two phases: ``_linearize`` builds them for every step at once, and the
+    backward loop keeps only the propagator and the recursion, storing each
+    E lam_{n+1}; the gradient is then two contractions over that stack.
     """
     tg = kernel.timegrid
-    dt = tg.dt
-    ts = tg.times()
-    coords = kernel.coords
-    spatial = tuple(range(model.grid.dim))
-    grad = np.empty((tg.n_steps, model.noise.n_modes))
+    noise = model.noise
+    jac, sig2 = _linearize(model, kernel, states, weights)
+    e_lams = np.empty_like(jac)
     lam = dpen[tg.n_steps]
     for n in range(tg.n_steps - 1, -1, -1):
-        u_n = states[n]
-        e_lam = _apply_propagator(kernel, lam)
-        sig = model.noise.mode_values(ts[n], u_n)
-        grad[n] = dt * np.tensordot(sig, e_lam, axes=(tuple(a + 1 for a in spatial), spatial))
-        f = np.asarray(model.drift.value(ts[n], coords, u_n), dtype=float)
-        fprime = np.asarray(model.drift.deriv(ts[n], coords, u_n), dtype=float)
-        jac = 1.0 - dt * fprime / (1.0 + dt * np.abs(f)) ** 2
-        jac = jac + np.tensordot(weights[n], _mode_derivs(model, ts[n], u_n), axes=(0, 0))
-        lam = jac * e_lam + dpen[n]
-    return grad
+        e_lams[n] = _apply_propagator(kernel, lam)
+        lam = jac[n] * e_lams[n] + dpen[n]
+    e_flat = e_lams.reshape(tg.n_steps, -1)
+    grad = e_flat @ noise.sigma1.reshape(noise.n_modes, -1).T
+    grad += np.einsum("nks,ns->nk", sig2, e_flat[:, noise.kappa_support[0]])
+    return tg.dt * grad
 
 
 def _objective_and_grad(model, kernel, u0, flat_v, mu, target_path, target_endpoint):
@@ -262,9 +297,10 @@ def _stepwise_least_squares(model: ModelSpec, kernel: StepKernel, target_path: n
         phi_n = target_path[n]
         f = np.asarray(model.drift.value(ts[n], coords, phi_n), dtype=float)
         base = phi_n + dt * (model.forcing.value(ts[n]) - f / (1.0 + dt * np.abs(f)))
-        sig = model.noise.mode_values(ts[n], phi_n)
-        cols = np.stack([_apply_propagator(kernel, s).ravel() for s in sig], axis=1)
-        rhs = (target_path[n + 1] - _apply_propagator(kernel, base)).ravel()
+        # sigma_k(phi_n) and base through the propagator in one batched pair
+        fields = _apply_propagator(kernel, np.concatenate([model.noise.mode_values(ts[n], phi_n), base[None]]))
+        cols = fields[:-1].reshape(model.noise.n_modes, -1).T
+        rhs = (target_path[n + 1] - fields[-1]).ravel()
         w, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
         v[n] = w / dt
     return v

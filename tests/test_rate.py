@@ -5,9 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracldp.grids import DomainError, Field, GridMismatchError
-from fracldp.skeleton import Control, TimeGrid
-from fracldp.zoo import build_model, scalar_linear_model, standard_grid, zoo
+from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
+from fracldp.models import ModelSpec
+from fracldp.skeleton import Control, StepKernel, TimeGrid
+from fracldp.zoo import (
+    build_model,
+    default_initial_datum,
+    default_model,
+    fractional_model,
+    scalar_linear_model,
+    standard_grid,
+    zoo,
+)
 from fracldp import rate
 from fracldp.rate import (
     ContinuityCurve,
@@ -89,17 +98,31 @@ def test_query_requires_exactly_one_target(setup):
 
 def test_query_rejects_bad_tau(setup):
     _, u0, _ = setup
-    with pytest.raises(DomainError):
-        RateQuery(u0=u0, target_endpoint=u0, tau_end=0.0)
+    for tau in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            RateQuery(u0=u0, target_endpoint=u0, tau_end=tau)
 
 
 def test_settings_validation():
-    with pytest.raises(DomainError):
-        OptimizerSettings(max_iters=0)
-    with pytest.raises(DomainError):
-        OptimizerSettings(penalty0=-1.0)
-    with pytest.raises(DomainError):
-        OptimizerSettings(residual_tol=0.0)
+    # the ranges the config layer enforces: budgets are integers >= 1,
+    # tolerances and the initial penalty finite and > 0
+    for bad in (
+        {"max_iters": 0},
+        {"max_iters": 2.5},
+        {"max_iters": True},
+        {"max_continuations": 0},
+        {"max_continuations": 3.0},
+        {"penalty0": -1.0},
+        {"penalty0": np.nan},
+        {"penalty0": np.inf},
+        {"residual_tol": 0.0},
+        {"residual_tol": np.nan},
+        {"residual_tol": np.inf},
+        {"gradient_tol": np.nan},
+        {"gradient_tol": -1e-9},
+    ):
+        with pytest.raises(DomainError):
+            OptimizerSettings(**bad)
 
 
 def test_target_path_must_start_at_u0(setup):
@@ -140,6 +163,92 @@ def test_adjoint_gradient_fractional_model():
     x = grid.coords()[0]
     u0 = Field(grid, 0.3 * np.cos(np.pi * x / grid.half_length))
     err = check_gradient(model, u0, TimeGrid(0.2, 8), seed=7)
+    assert err < 1e-5
+
+
+def _time_dependent_callback_model() -> ModelSpec:
+    """Default data with F = (1 + sin t) u^3 and sigma2_k = (1 + t) u / (k + 1)
+    as callbacks, so every factor of the costate recursion depends on t_n."""
+    model = default_model(standard_grid(points=32))
+    drift = replace(
+        model.drift, form="custom-callback",
+        callback=lambda t, x, u: (1.0 + np.sin(t)) * u**3,
+        deriv_callback=lambda t, x, u: 3.0 * (1.0 + np.sin(t)) * u**2,
+    )
+    noise = replace(
+        model.noise, form="custom-callback",
+        sigma2_callback=lambda t, x, u, k: (1.0 + t) * u / (k + 1.0),
+        sigma2_deriv_callback=lambda t, x, u, k: np.full_like(u, (1.0 + t) / (k + 1.0)),
+    )
+    return replace(model, drift=drift, noise=noise)
+
+
+def _per_step_adjoint_grad(model, kernel, states, weights, dpen):
+    """Reference: the costate sweep that rebuilt every factor inside the
+    backward loop, one step and one mode at a time."""
+    tg = kernel.timegrid
+    dt = tg.dt
+    ts = tg.times()
+    noise = model.noise
+    spatial = tuple(range(model.grid.dim))
+    grad = np.empty((tg.n_steps, noise.n_modes))
+    lam = dpen[tg.n_steps]
+    for n in range(tg.n_steps - 1, -1, -1):
+        u_n = states[n]
+        e_lam = rate._apply_propagator(kernel, lam)
+        sig = noise.mode_values(ts[n], u_n)
+        grad[n] = dt * np.tensordot(sig, e_lam, axes=(tuple(a + 1 for a in spatial), spatial))
+        f = np.asarray(model.drift.value(ts[n], kernel.coords, u_n), dtype=float)
+        fprime = np.asarray(model.drift.deriv(ts[n], kernel.coords, u_n), dtype=float)
+        jac = 1.0 - dt * fprime / (1.0 + dt * np.abs(f)) ** 2
+        dsig = np.stack([
+            noise.kappa.values * np.asarray(noise.sigma2_mode_deriv(ts[n], k, u_n))
+            for k in range(noise.n_modes)
+        ])
+        jac = jac + np.tensordot(weights[n], dsig, axes=(0, 0))
+        lam = jac * e_lam + dpen[n]
+    return grad
+
+
+_GRAD_MODELS = {
+    "default": lambda: default_model(),
+    "fractional": lambda: fractional_model(),
+    "2d": lambda: build_model(GridSpec(dim=2, half_length=2.0, points_per_dim=16, alpha=0.8)),
+    "callbacks": _time_dependent_callback_model,
+}
+
+
+@pytest.mark.parametrize("target", ["endpoint", "path", "hinge"])
+@pytest.mark.parametrize("name", sorted(_GRAD_MODELS))
+def test_batched_adjoint_matches_per_step_sweep(name, target):
+    model = _GRAD_MODELS[name]()
+    grid = model.grid
+    tg = TimeGrid(1.0, 16)
+    kernel = StepKernel.build(model, tg)
+    u0 = default_initial_datum(grid)
+    rng = np.random.default_rng(2)
+    weights = tg.dt * 0.5 * rng.standard_normal((tg.n_steps, model.noise.n_modes))
+    states = rate._forward_states(model, kernel, u0, weights)
+    ref_path = states + 0.1 * rng.standard_normal(states.shape)
+    if target == "endpoint":
+        _, dpen = rate._dist_sq_and_partials(grid, tg, states, None, ref_path[-1])
+    elif target == "path":
+        _, dpen = rate._dist_sq_and_partials(grid, tg, states, ref_path, None)
+    else:  # the trapezoid-weighted hinge partials of constrained_rate_minimum
+        tw = np.full(tg.n_steps + 1, tg.dt)
+        tw[0] = tw[-1] = 0.5 * tg.dt
+        dpen = (-3.0 * tw).reshape(-1, *([1] * grid.dim)) * (states - ref_path)
+    got = rate._adjoint_grad(model, kernel, states, weights, dpen)
+    ref = _per_step_adjoint_grad(model, kernel, states, weights, dpen)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_adjoint_gradient_time_dependent_callbacks():
+    """Callbacks take a scalar t: each step's factors must use its own t_n."""
+    model = _time_dependent_callback_model()
+    u0 = default_initial_datum(model.grid)
+    err = check_gradient(model, u0, TimeGrid(1.0, 8), seed=5)
     assert err < 1e-5
 
 
