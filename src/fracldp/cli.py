@@ -32,6 +32,7 @@ from . import __version__
 from .config import (
     ConfigError,
     RunConfig,
+    build_data,
     build_datum,
     build_model_from_config,
     build_timegrid,
@@ -87,18 +88,6 @@ _SIM_CHUNK = 64  # fixed batch shape => records independent of worker count
 
 def _constant_control(tg, n_modes: int, amplitude: float) -> Control:
     return Control(tg, np.full((tg.n_steps, n_modes), float(amplitude)))
-
-
-def _resolve_data(value, model, preset: str) -> list:
-    if value == "auto":
-        if preset in ("scalar-linear", "linear-additive", "constant-reduction"):
-            specs = [{"kind": "constant", "level": 0.5},
-                     {"kind": "constant", "level": 0.35}]
-        else:
-            specs = [{"kind": "bump", "radius": 0.5, "amplitude": 1.0},
-                     {"kind": "bump", "radius": 0.5, "amplitude": 0.7}]
-        return [build_datum(s, model, preset) for s in specs]
-    return [build_datum(s, model, preset) for s in value]
 
 
 def _simulate_chunk(cfg_text: str, start: int, count: int) -> list:
@@ -225,7 +214,7 @@ def _run_mc_ldp(cfg: RunConfig):
     exp = cfg.experiment
     tg = build_timegrid(cfg)
     seed = cfg.run["seed"]
-    data = _resolve_data(exp["data"], model, preset)
+    data = build_data(exp["data"], model, preset)
     controls = [
         _constant_control(tg, model.noise.n_modes, a)
         for a in exp["control_amplitudes"]
@@ -322,7 +311,7 @@ def _run_cvs_sweep(cfg: RunConfig):
     preset = cfg.model["preset"]
     exp = cfg.experiment
     tg = build_timegrid(cfg)
-    data = _resolve_data(exp["data"], model, preset)
+    data = build_data(exp["data"], model, preset)
     controls = [
         _constant_control(tg, model.noise.n_modes, a)
         for a in exp["control_amplitudes"]
@@ -372,25 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    run = dict(cfg.run)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError([
-                {"key": "run.seed", "expected": "integer >= 0", "found": repr(args.seed)}
-            ])
-        run["seed"] = args.seed
-    if args.out is not None:
-        run["output_dir"] = args.out
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError([
-                {"key": "run.workers", "expected": "integer >= 1",
-                 "found": repr(args.workers)}
-            ])
-        run["workers"] = args.workers
-    if args.format is not None:
-        run["format"] = args.format
-    return replace(cfg, run=run)
+    """Merge the flags into ``cfg.run`` and re-parse the echo, so that a flag
+    is validated exactly like the config key it overrides."""
+    flags = {"seed": args.seed, "output_dir": args.out, "workers": args.workers,
+             "format": args.format}
+    run = {**cfg.run, **{k: v for k, v in flags.items() if v is not None}}
+    return parse_config(serialize_config(replace(cfg, run=run)))
 
 
 def _numeric_knobs(experiment: dict) -> dict:

@@ -7,6 +7,11 @@ and range violations are all collected into precise (key, expected, found)
 records and raised together, and every default is echoed into the parsed
 config so the serialized form pins the run completely.
 
+Valid ranges are written once: a key that a constructor consumes is checked
+with the ``Range`` from that constructor's ``RANGES`` table, so the config
+accepts a value exactly when the constructor does. Keys only the config knows
+build their ranges from the same vocabulary in ``grids``.
+
 Grid defaults follow the chosen model preset (the scalar reduction lives on
 its own small box), so an omitted grid section reproduces the preset's
 natural geometry rather than silently rescaling it.
@@ -15,14 +20,16 @@ natural geometry rather than silently rescaling it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, GridSpec
-from .models import ModelSpec
+from .grids import EPS_LADDER, NON_NEGATIVE, POSITIVE, Field, GridSpec, Range, at_least, is_num
+from .ldp import LdpExperimentPlan
+from .models import DriftSpec, ModelSpec, NoiseSpec, SamplingPlan
+from .rate import OptimizerSettings, RateQuery
 from .skeleton import TimeGrid
+from .stochastic import SdeConfig
 from .zoo import (
     boundary_growth_model,
     build_model,
@@ -97,16 +104,12 @@ class RunConfig:
         }
 
 
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+_ANY = Range(lambda v: True, "")
+_FINITE = Range(is_num, "finite float")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_power_of_two(n) -> bool:
-    return _is_int(n) and n >= 1 and (n & (n - 1)) == 0
+def _one_of(*choices) -> Range:
+    return Range(lambda v: v in choices, f"one of {list(choices)}")
 
 
 def _datum_ok(spec) -> bool:
@@ -116,163 +119,122 @@ def _datum_ok(spec) -> bool:
         return False
     kind = spec.get("kind")
     if kind == "constant":
-        return set(spec) == {"kind", "level"} and _is_num(spec["level"])
+        return set(spec) == {"kind", "level"} and is_num(spec["level"])
     if kind == "bump":
         return (
             set(spec) == {"kind", "radius", "amplitude"}
-            and _is_num(spec["radius"])
-            and spec["radius"] > 0
-            and _is_num(spec["amplitude"])
+            and POSITIVE.ok(spec["radius"])
+            and is_num(spec["amplitude"])
         )
     if kind == "cosine":
         return (
             set(spec) <= {"kind", "amplitude", "mode"}
             and {"kind", "amplitude"} <= set(spec)
-            and _is_num(spec["amplitude"])
-            and _is_int(spec.get("mode", 1))
-            and spec.get("mode", 1) >= 1
+            and is_num(spec["amplitude"])
+            and at_least(1).ok(spec.get("mode", 1))
         )
     return False
 
 
-def _data_list_ok(value) -> bool:
-    if value == "auto":
-        return True
-    return (
-        isinstance(value, list)
-        and len(value) >= 1
-        and all(d != "auto" and _datum_ok(d) for d in value)
-    )
-
-
-def _eps_list_ok(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) >= 1
-        and all(_is_num(e) and 0 < e <= 1 for e in value)
-        and all(b < a for a, b in zip(value, value[1:]))
-    )
-
-
-def _amp_list_ok(value) -> bool:
-    return isinstance(value, list) and len(value) >= 1 and all(_is_num(a) for a in value)
-
-
-def _radii_ok(value) -> bool:
-    if value == "auto":
-        return True
-    return (
-        isinstance(value, list)
-        and len(value) >= 1
-        and all(_is_num(r) and r >= 0 for r in value)
-    )
-
-
-_DATUM_EXPECTED = (
-    "\"auto\" or {kind: constant|bump|cosine, ...} datum spec"
+_DATUM = Range(_datum_ok, "\"auto\" or {kind: constant|bump|cosine, ...} datum spec")
+_DATA = Range(
+    lambda v: v == "auto" or (
+        isinstance(v, list) and len(v) >= 1 and all(d != "auto" and _datum_ok(d) for d in v)
+    ),
+    '"auto" or non-empty list of datum specs',
+)
+_AMPLITUDES = Range(
+    lambda v: isinstance(v, list) and len(v) >= 1 and all(is_num(a) for a in v),
+    "non-empty list of finite floats",
+)
+_RADII = Range(
+    lambda v: v == "auto" or (
+        isinstance(v, list) and len(v) >= 1 and all(NON_NEGATIVE.ok(r) for r in v)
+    ),
+    '"auto" or list of floats >= 0',
 )
 
-# key -> (default, predicate, expected-description)
+# key -> (default, Range). A key that a constructor consumes takes that
+# constructor's Range object; the others are the config's own.
 # The default horizon is short enough that solution mass stays well inside
 # the truncated domain (the regime the periodic truncation is valid in); see
 # tail_mass_scan for the measured exterior mass.
 _TIMEGRID_KEYS = {
-    "horizon": (0.25, lambda v: _is_num(v) and v > 0, "float > 0"),
-    "n_steps": (64, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
+    "horizon": (0.25, TimeGrid.RANGES["horizon"]),
+    "n_steps": (64, TimeGrid.RANGES["n_steps"]),
 }
 
 _RUN_KEYS = {
-    "seed": (0, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "output_dir": ("runs/out", lambda v: isinstance(v, str) and v != "", "non-empty path string"),
-    "format": ("ndjson", lambda v: v in ("ndjson", "csv"), "one of ['ndjson', 'csv']"),
-    "workers": (1, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-}
-
-_GRID_KEYS = {
-    "dim": (None, lambda v: v in (1, 2, 3), "integer in {1, 2, 3}"),
-    "half_length": (None, lambda v: _is_num(v) and v > 0, "float > 0"),
-    "points_per_dim": (None, lambda v: _is_power_of_two(v) and v >= 8, "power of two >= 8"),
-    "alpha": (None, lambda v: _is_num(v) and 0 < v <= 1, "float in (0, 1]"),
+    "seed": (0, at_least(0)),
+    "output_dir": (
+        "runs/out", Range(lambda v: isinstance(v, str) and v != "", "non-empty path string")
+    ),
+    "format": ("ndjson", _one_of("ndjson", "csv")),
+    "workers": (1, at_least(1)),
 }
 
 _BUILT_KEYS = {
-    "drift_form": (
-        "cubic_minus_linear",
-        lambda v: v in ("cubic_minus_linear", "pure_power"),
-        "one of ['cubic_minus_linear', 'pure_power']",
-    ),
-    "p": (4.0, lambda v: _is_num(v) and v > 2, "float > 2"),
-    "noise_form": (
-        "saturated_power",
-        lambda v: v in ("saturated_power", "smooth_power"),
-        "one of ['saturated_power', 'smooth_power']",
-    ),
-    "q": (2.5, lambda v: _is_num(v) and v >= 2, "float >= 2"),
-    "n_modes": (4, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "gamma0": (0.04, lambda v: _is_num(v) and v > 0, "float > 0"),
-    "saturation": (0.1, lambda v: _is_num(v) and v > 0, "float > 0"),
+    "drift_form": ("cubic_minus_linear", _one_of("cubic_minus_linear", "pure_power")),
+    "p": (4.0, DriftSpec.RANGES["p"]),
+    "noise_form": ("saturated_power", _one_of("saturated_power", "smooth_power")),
+    "q": (2.5, NoiseSpec.RANGES["q"]),
+    "n_modes": (4, NoiseSpec.RANGES["n_modes"]),
+    "gamma0": (0.04, POSITIVE),
+    "saturation": (0.1, NoiseSpec.RANGES["saturation"]),
 }
 
 _EXPERIMENT_KEYS = {
     "simulate": {
-        "epsilon": (0.1, lambda v: _is_num(v) and 0 < v <= 1, "float in (0, 1]"),
-        "n_paths": (200, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-        "linf_guard": (1.0e6, lambda v: _is_num(v) and v > 0, "float > 0"),
-        "datum": ("auto", _datum_ok, _DATUM_EXPECTED),
+        "epsilon": (0.1, SdeConfig.RANGES["epsilon"]),
+        "n_paths": (200, at_least(1)),
+        "linf_guard": (1.0e6, SdeConfig.RANGES["linf_guard"]),
+        "datum": ("auto", _DATUM),
     },
     "skeleton": {
-        "control_amplitude": (0.0, _is_num, "finite float"),
-        "datum": ("auto", _datum_ok, _DATUM_EXPECTED),
+        "control_amplitude": (0.0, _FINITE),
+        "datum": ("auto", _DATUM),
     },
     "rate-min": {
-        "target": (
-            "planted",
-            lambda v: v in ("planted", "noise-free", "endpoint"),
-            "one of ['planted', 'noise-free', 'endpoint']",
-        ),
-        "control_amplitude": (0.3, _is_num, "finite float"),
-        "endpoint_level": (0.0, _is_num, "finite float"),
-        "tau": (1e-3, lambda v: _is_num(v) and v > 0, "float > 0"),
-        "max_iters": (400, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-        "max_continuations": (16, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-        "residual_tol": (1e-4, lambda v: _is_num(v) and v > 0, "float > 0"),
-        "datum": ("auto", _datum_ok, _DATUM_EXPECTED),
+        "target": ("planted", _one_of("planted", "noise-free", "endpoint")),
+        "control_amplitude": (0.3, _FINITE),
+        "endpoint_level": (0.0, _FINITE),
+        "tau": (1e-3, RateQuery.RANGES["tau_end"]),
+        "max_iters": (400, OptimizerSettings.RANGES["max_iters"]),
+        "max_continuations": (16, OptimizerSettings.RANGES["max_continuations"]),
+        "residual_tol": (1e-4, OptimizerSettings.RANGES["residual_tol"]),
+        "datum": ("auto", _DATUM),
     },
     "level-set": {
-        "level": (0.5, lambda v: _is_num(v) and v >= 0, "float >= 0"),
-        "n_samples": (16, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-        "datum": ("auto", _datum_ok, _DATUM_EXPECTED),
+        "level": (0.5, NON_NEGATIVE),
+        "n_samples": (16, at_least(1)),
+        "datum": ("auto", _DATUM),
     },
     "mc-ldp": {
-        "eps_list": ([0.5, 0.2, 0.1], _eps_list_ok, "strictly decreasing floats in (0, 1]"),
-        "delta": (0.3, lambda v: _is_num(v) and v > 0, "float > 0"),
-        "s_levels": (
-            [0.2],
-            lambda v: isinstance(v, list) and all(_is_num(s) and s >= 0 for s in v),
-            "list of floats >= 0",
-        ),
-        "n_paths": (400, lambda v: _is_int(v) and v >= 100, "integer >= 100"),
-        "slack": (0.5, lambda v: _is_num(v) and v > 0, "float > 0"),
-        "control_amplitudes": ([0.9], _amp_list_ok, "non-empty list of finite floats"),
-        "data": ("auto", _data_list_ok, '"auto" or non-empty list of datum specs'),
-        "n_level_samples": (12, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+        "eps_list": ([0.5, 0.2, 0.1], LdpExperimentPlan.RANGES["eps_list"]),
+        "delta": (0.3, LdpExperimentPlan.RANGES["delta"]),
+        "s_levels": ([0.2], LdpExperimentPlan.RANGES["s_levels"]),
+        "n_paths": (400, LdpExperimentPlan.RANGES["n_paths"]),
+        "slack": (0.5, LdpExperimentPlan.RANGES["slack"]),
+        "control_amplitudes": ([0.9], _AMPLITUDES),
+        "data": ("auto", _DATA),
+        "n_level_samples": (12, at_least(1)),
     },
     "validate-model": {
-        "n_samples": (100000, lambda v: _is_int(v) and v >= 100, "integer >= 100"),
-        "u_max": (1.0e3, lambda v: _is_num(v) and v > 0, "float > 0"),
-        "n_fields": (48, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+        "n_samples": (100000, SamplingPlan.RANGES["n_samples"]),
+        "u_max": (1.0e3, SamplingPlan.RANGES["u_max"]),
+        "n_fields": (48, SamplingPlan.RANGES["n_fields"]),
     },
     "tail-scan": {
-        "radii": ("auto", _radii_ok, '"auto" or list of floats >= 0'),
-        "control_amplitude": (0.0, _is_num, "finite float"),
-        "datum": ("auto", _datum_ok, _DATUM_EXPECTED),
+        "radii": ("auto", _RADII),
+        "control_amplitude": (0.0, _FINITE),
+        "datum": ("auto", _DATUM),
     },
     "cvs-sweep": {
-        "eps_list": ([1.0, 0.3, 0.1], _eps_list_ok, "strictly decreasing floats in (0, 1]"),
-        "eta": (0.5, lambda v: _is_num(v) and v > 0, "float > 0"),
-        "n_paths": (100, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-        "control_amplitudes": ([0.3, -0.2], _amp_list_ok, "non-empty list of finite floats"),
-        "data": ("auto", _data_list_ok, '"auto" or non-empty list of datum specs'),
+        "eps_list": ([1.0, 0.3, 0.1], EPS_LADDER),
+        "eta": (0.5, POSITIVE),
+        "n_paths": (100, at_least(1)),
+        "control_amplitudes": ([0.3, -0.2], _AMPLITUDES),
+        "data": ("auto", _DATA),
     },
 }
 
@@ -296,12 +258,12 @@ def _fill_section(raw, keys, path, errors, extra_forbidden=()):
                 "expected": "a documented key (unknown keys are fatal)",
                 "found": repr(raw[key]),
             })
-    for key, (default, check, expected) in keys.items():
+    for key, (default, rng) in keys.items():
         if key in raw:
             value = raw[key]
-            if not check(value):
+            if not rng.ok(value):
                 errors.append({
-                    "key": f"{path}.{key}", "expected": expected, "found": repr(value),
+                    "key": f"{path}.{key}", "expected": rng.expected, "found": repr(value),
                 })
             else:
                 out[key] = value
@@ -342,7 +304,7 @@ def parse_config(text: str) -> RunConfig:
         })
         preset = "default"
     if preset == "built":
-        model_keys = {"preset": (preset, lambda v: True, "")} | _BUILT_KEYS
+        model_keys = {"preset": (preset, _ANY)} | _BUILT_KEYS
         model = _fill_section(model_raw, model_keys, "model", errors)
         p, q = model.get("p"), model.get("q")
         if model.get("drift_form") == "cubic_minus_linear":
@@ -353,7 +315,7 @@ def parse_config(text: str) -> RunConfig:
                     "found": repr(p),
                 })
             p = 4.0
-        if _is_num(p) and _is_num(q) and q > 1 + p / 2:
+        if is_num(p) and is_num(q) and q > 1 + p / 2:
             errors.append({
                 "key": "model.q",
                 "expected": (
@@ -363,16 +325,13 @@ def parse_config(text: str) -> RunConfig:
                 "found": repr(q),
             })
     else:
-        model_keys = {"preset": (preset, lambda v: True, "")}
         model = _fill_section(
-            model_raw, model_keys, "model", errors,
+            model_raw, {"preset": (preset, _ANY)}, "model", errors,
             extra_forbidden=tuple(_BUILT_KEYS),
         )
 
     grid_defaults = _PRESET_GRIDS.get(preset, _DEFAULT_GRID)
-    grid_keys = {
-        k: (grid_defaults[k], chk, exp) for k, (_, chk, exp) in _GRID_KEYS.items()
-    }
+    grid_keys = {k: (grid_defaults[k], rng) for k, rng in GridSpec.RANGES.items()}
     grid = _fill_section(raw.get("grid", {}), grid_keys, "grid", errors)
     timegrid = _fill_section(raw.get("timegrid", {}), _TIMEGRID_KEYS, "timegrid", errors)
     run = _fill_section(raw.get("run", {}), _RUN_KEYS, "run", errors)
@@ -392,7 +351,7 @@ def parse_config(text: str) -> RunConfig:
         })
         experiment = {"name": name}
     else:
-        exp_keys = {"name": (name, lambda v: True, "")} | _EXPERIMENT_KEYS[name]
+        exp_keys = {"name": (name, _ANY)} | _EXPERIMENT_KEYS[name]
         experiment = _fill_section(exp_raw, exp_keys, "experiment", errors)
 
     if errors:
@@ -407,15 +366,11 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:
-    g = cfg.grid
-    return GridSpec(
-        dim=g["dim"], half_length=g["half_length"],
-        points_per_dim=g["points_per_dim"], alpha=g["alpha"],
-    )
+    return GridSpec(**cfg.grid)
 
 
 def build_timegrid(cfg: RunConfig) -> TimeGrid:
-    return TimeGrid(horizon=cfg.timegrid["horizon"], n_steps=cfg.timegrid["n_steps"])
+    return TimeGrid(**cfg.timegrid)
 
 
 def build_model_from_config(cfg: RunConfig) -> ModelSpec:
@@ -440,17 +395,23 @@ def build_model_from_config(cfg: RunConfig) -> ModelSpec:
     return builders[preset](grid)
 
 
-# presets whose natural initial data are spatially constant fields
-_CONSTANT_DATA_PRESETS = ("scalar-linear", "linear-additive", "constant-reduction")
+def _auto_data(preset: str) -> list:
+    """The "auto" data list: constant fields for the presets whose natural
+    initial data are spatially constant, compact bumps otherwise."""
+    if preset in ("scalar-linear", "linear-additive", "constant-reduction"):
+        return [{"kind": "constant", "level": 0.5}, {"kind": "constant", "level": 0.35}]
+    return [{"kind": "bump", "radius": 0.5, "amplitude": 1.0},
+            {"kind": "bump", "radius": 0.5, "amplitude": 0.7}]
 
 
 def build_datum(spec, model: ModelSpec, preset: str = "default") -> Field:
-    """Resolve a datum spec ("auto" or a kind dict) to a Field on the model grid."""
+    """Resolve a datum spec ("auto" or a kind dict) to a Field on the model grid.
+
+    "auto" is the first member of the preset's "auto" data list.
+    """
     grid = model.grid
     if spec == "auto":
-        if preset in _CONSTANT_DATA_PRESETS:
-            return Field(grid, np.full(grid.shape, 0.5))
-        return default_initial_datum(grid)
+        spec = _auto_data(preset)[0]
     kind = spec["kind"]
     if kind == "constant":
         return Field(grid, np.full(grid.shape, float(spec["level"])))
@@ -461,3 +422,9 @@ def build_datum(spec, model: ModelSpec, preset: str = "default") -> Field:
     for _ in range(grid.dim - 1):
         values = np.multiply.outer(values, np.ones(grid.shape[0]))
     return Field(grid, values)
+
+
+def build_data(value, model: ModelSpec, preset: str = "default") -> list:
+    """Resolve a ``data`` value ("auto" or a list of datum specs) to Fields."""
+    specs = _auto_data(preset) if value == "auto" else value
+    return [build_datum(spec, model, preset) for spec in specs]

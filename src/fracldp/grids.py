@@ -15,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gamma as _gamma_fn
 from math import pi
+from numbers import Integral, Real
+from sys import float_info
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -27,8 +30,50 @@ class DomainError(ValueError):
     """Raised for invalid grid/field data (bad shapes, non-finite values)."""
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+# ---------------------------------------------------------------------------
+# Valid ranges: each constructor declares its fields' ranges once, in a
+# ``RANGES`` class table, and the config layer reads the same ``Range`` objects.
+
+
+@dataclass(frozen=True)
+class Range:
+    """The valid values of one field: a predicate and its description."""
+
+    ok: Callable[[object], bool]
+    expected: str
+
+
+def is_num(x) -> bool:
+    """A real number with a finite float value; bools are not numbers here."""
+    return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= float_info.max
+
+
+def is_int(x) -> bool:
+    """An integer; bools and integral floats are not."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def at_least(n: int) -> Range:
+    """Integers >= n."""
+    return Range(lambda v: is_int(v) and v >= n, f"integer >= {n}")
+
+
+POSITIVE = Range(lambda v: is_num(v) and v > 0, "float > 0")
+NON_NEGATIVE = Range(lambda v: is_num(v) and v >= 0, "float >= 0")
+UNIT = Range(lambda v: is_num(v) and 0 < v <= 1, "float in (0, 1]")
+EPS_LADDER = Range(
+    lambda v: isinstance(v, (list, tuple)) and len(v) >= 1 and all(UNIT.ok(e) for e in v)
+    and all(b < a for a, b in zip(v, v[1:])),
+    "strictly decreasing floats in (0, 1]",
+)
+
+
+def check_ranges(obj, error: type = DomainError) -> None:
+    """Raise ``error`` for the first field of ``obj`` outside its ``RANGES`` entry."""
+    for name, rng in obj.RANGES.items():
+        value = getattr(obj, name)
+        if not rng.ok(value):
+            raise error(f"{name}: expected {rng.expected}, found {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,17 +97,17 @@ class GridSpec:
     points_per_dim: int = 128
     alpha: float = 1.0
 
+    RANGES: ClassVar[dict] = {
+        "dim": Range(lambda v: is_int(v) and 1 <= v <= 3, "integer in {1, 2, 3}"),
+        "half_length": POSITIVE,
+        "points_per_dim": Range(
+            lambda v: is_int(v) and v >= 4 and v & (v - 1) == 0, "power of two >= 4"
+        ),
+        "alpha": UNIT,
+    }
+
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1 or self.dim > 3:
-            raise DomainError(f"dim must be an integer in [1, 3], got {self.dim!r}")
-        if not (self.half_length > 0 and np.isfinite(self.half_length)):
-            raise DomainError(f"half_length must be a positive real, got {self.half_length!r}")
-        if not isinstance(self.points_per_dim, int) or not _is_power_of_two(self.points_per_dim) or self.points_per_dim < 4:
-            raise DomainError(
-                f"points_per_dim must be a power of two >= 4, got {self.points_per_dim!r}"
-            )
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        check_ranges(self)
 
     @property
     def spacing(self) -> float:

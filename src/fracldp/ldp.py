@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError, l2_norm
+from .grids import EPS_LADDER, NON_NEGATIVE, POSITIVE, Range, at_least, check_ranges
 from .models import ModelSpec
 from .rate import RateResult, g0_map, sample_level_set
 from .skeleton import Control, TimeGrid
@@ -71,7 +72,20 @@ class LdpExperimentPlan:
     initial_radius: Optional[float] = None
     linf_guard: float = 1.0e6
 
+    RANGES: ClassVar[dict] = {
+        "eps_list": EPS_LADDER,
+        "delta": POSITIVE,
+        "s_levels": Range(
+            lambda v: isinstance(v, (list, tuple)) and all(NON_NEGATIVE.ok(s) for s in v),
+            "list of floats >= 0",
+        ),
+        "n_paths": at_least(100),
+        "slack": POSITIVE,
+        "linf_guard": POSITIVE,
+    }
+
     def __post_init__(self) -> None:
+        check_ranges(self)
         object.__setattr__(self, "initial_data", tuple(self.initial_data))
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
         object.__setattr__(self, "s_levels", tuple(float(s) for s in self.s_levels))
@@ -80,20 +94,6 @@ class LdpExperimentPlan:
         for u0 in self.initial_data:
             if u0.grid != self.model.grid:
                 raise GridMismatchError("initial datum grid does not match the model")
-        if not self.eps_list or any(e <= 0 or e > 1 for e in self.eps_list):
-            raise DomainError("eps_list entries must lie in (0, 1]")
-        if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise DomainError("eps_list must be strictly decreasing")
-        if self.delta <= 0:
-            raise DomainError("delta must be positive")
-        if self.n_paths < 100:
-            raise DomainError("n_paths must be at least 100 per cell")
-        if any(s < 0 for s in self.s_levels):
-            raise DomainError("s_levels must be non-negative")
-        if self.slack <= 0:
-            raise DomainError("slack must be positive")
-        if not self.linf_guard > 0:
-            raise DomainError("linf_guard must be positive")
         if self.initial_radius is not None:
             for u0 in self.initial_data:
                 if l2_norm(u0) > self.initial_radius + 1e-12:

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError, GridSpec, lp_norm
+from .grids import NON_NEGATIVE, POSITIVE, Range, at_least, check_ranges, is_num
 
 DRIFT_FORMS = ("cubic_minus_linear", "pure_power", "custom-callback")
 NOISE_FORMS = ("smooth_power", "saturated_power", "custom-callback")
@@ -92,11 +93,12 @@ class DriftSpec:
     callback: Optional[Callable] = None
     deriv_callback: Optional[Callable] = None
 
+    RANGES: ClassVar[dict] = {"p": Range(lambda v: is_num(v) and v > 2, "float > 2")}
+
     def __post_init__(self) -> None:
         if self.form not in DRIFT_FORMS:
             raise ConditionError(f"unknown drift form {self.form!r}; expected one of {DRIFT_FORMS}")
-        if not (self.p > 2.0):
-            raise ConditionError(f"drift exponent p must exceed 2, got {self.p}")
+        check_ranges(self, ConditionError)
         if self.lambda1 <= 0 or self.lambda2 <= 0:
             raise ConditionError("lambda1 and lambda2 must be positive")
         if min(self.psi1_bound, self.psi2_bound, self.psi3_bound, self.psi4_bound) < 0:
@@ -204,13 +206,18 @@ class NoiseSpec:
     sigma2_deriv_callback: Optional[Callable] = None
     tail_bound: float = 0.0
 
+    RANGES: ClassVar[dict] = {
+        "n_modes": at_least(1),
+        "q": Range(lambda v: is_num(v) and v >= 2, "float >= 2"),
+        # every form carries it, and only a positive one bounds the saturated profile
+        "saturation": POSITIVE,
+        "tail_bound": NON_NEGATIVE,
+    }
+
     def __post_init__(self) -> None:
         if self.form not in NOISE_FORMS:
             raise ConditionError(f"unknown noise form {self.form!r}; expected one of {NOISE_FORMS}")
-        if self.n_modes < 1:
-            raise ConditionError("n_modes must be at least 1")
-        if not (self.q >= 2.0):
-            raise ConditionError(f"noise growth exponent q must be >= 2, got {self.q}")
+        check_ranges(self, ConditionError)
         if self.kappa.grid != self.grid:
             raise GridMismatchError("kappa lives on a different grid")
         sig1 = np.asarray(self.sigma1, dtype=float)
@@ -234,10 +241,6 @@ class NoiseSpec:
             object.__setattr__(self, name, arr)
         if self.form == "custom-callback" and self.sigma2_callback is None:
             raise ConditionError("custom-callback noise requires a callback")
-        if self.form == "saturated_power" and self.saturation < 0:
-            raise ConditionError("saturation must be non-negative")
-        if self.tail_bound < 0:
-            raise ConditionError("tail_bound must be non-negative")
 
     # -- separable built-in profile ------------------------------------------
 
@@ -460,7 +463,7 @@ class ModelSpec:
         if self.noise.grid != self.grid or self.forcing.grid != self.grid:
             raise GridMismatchError("noise/forcing grids do not match the model grid")
         hi = 1.0 + self.drift.p / 2.0
-        if not (2.0 <= self.noise.q <= hi + 1e-12):
+        if not (2.0 <= self.noise.q <= hi):
             raise ConditionError(
                 f"noise exponent q = {self.noise.q} outside [2, 1 + p/2] = [2, {hi}]"
             )
@@ -486,17 +489,16 @@ class SamplingPlan:
     field_amplitude_max: float = 20.0
     seed: int = 1234
 
+    RANGES: ClassVar[dict] = {
+        "n_samples": at_least(100),
+        "u_max": POSITIVE,
+        "t_max": NON_NEGATIVE,
+        "n_fields": at_least(1),
+        "field_amplitude_max": POSITIVE,
+    }
+
     def __post_init__(self) -> None:
-        if self.n_samples < 100:
-            raise DomainError("n_samples must be at least 100")
-        if self.u_max <= 0 or self.t_max < 0:
-            raise DomainError("u_max must be positive and t_max non-negative")
-        if self.n_fields < 1:
-            raise DomainError("n_fields must be at least 1")
-        if not (self.field_amplitude_max > 0 and np.isfinite(self.field_amplitude_max)):
-            raise DomainError(
-                f"field_amplitude_max must be positive and finite, got {self.field_amplitude_max}"
-            )
+        check_ranges(self)
 
 
 @dataclass

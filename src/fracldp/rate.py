@@ -22,12 +22,13 @@ rate results compose exactly with the skeleton and Monte Carlo modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 from scipy import optimize
 
 from .grids import DomainError, Field, GridMismatchError, array_l2_sq
+from .grids import POSITIVE, at_least, check_ranges
 from .models import ModelSpec
 from .skeleton import (
     BlowUpError,
@@ -68,16 +69,16 @@ class OptimizerSettings:
     max_continuations: int = 16
     residual_tol: float = 1e-4
 
+    RANGES: ClassVar[dict] = {
+        "max_iters": at_least(1),
+        "gradient_tol": POSITIVE,
+        "penalty0": POSITIVE,
+        "max_continuations": at_least(1),
+        "residual_tol": POSITIVE,
+    }
+
     def __post_init__(self) -> None:
-        # the ranges the config layer enforces for the same keys
-        for name in ("max_iters", "max_continuations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("gradient_tol", "penalty0", "residual_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        check_ranges(self)
 
 
 @dataclass
@@ -90,11 +91,12 @@ class RateQuery:
     tau_end: float = 1e-3
     settings: OptimizerSettings = dc_field(default_factory=OptimizerSettings)
 
+    RANGES: ClassVar[dict] = {"tau_end": POSITIVE}
+
     def __post_init__(self) -> None:
         if (self.target_path is None) == (self.target_endpoint is None):
             raise DomainError("exactly one of target_path / target_endpoint is required")
-        if not (np.isfinite(self.tau_end) and self.tau_end > 0):
-            raise DomainError(f"tau_end must be finite and > 0, got {self.tau_end!r}")
+        check_ranges(self)
 
     @property
     def mode(self) -> str:

@@ -26,11 +26,12 @@ the bins 0..N/2, and the seminorm diagnostics weight it with
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError, GridSpec
+from .grids import POSITIVE, at_least, check_ranges
 from .grids import (
     array_l2_sq,
     array_lp_pow,
@@ -57,11 +58,10 @@ class TimeGrid:
     horizon: float
     n_steps: int
 
+    RANGES: ClassVar[dict] = {"horizon": POSITIVE, "n_steps": at_least(2)}
+
     def __post_init__(self) -> None:
-        if not (self.horizon > 0 and np.isfinite(self.horizon)):
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
-        if not isinstance(self.n_steps, int) or self.n_steps < 2:
-            raise DomainError(f"n_steps must be an integer >= 2, got {self.n_steps}")
+        check_ranges(self)
 
     @property
     def dt(self) -> float:

@@ -19,11 +19,12 @@ batches embarrassingly parallel and bit-reproducible regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError
+from .grids import POSITIVE, UNIT, check_ranges
 from .grids import array_l2_sq, array_lp_pow, array_seminorm_sq
 from .models import ModelSpec
 from .skeleton import (
@@ -81,13 +82,12 @@ class SdeConfig:
     scheme: str = "tamed_imex_em"
     linf_guard: float = 1.0e6
 
+    RANGES: ClassVar[dict] = {"epsilon": UNIT, "linf_guard": POSITIVE}
+
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon <= 1.0):
-            raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        check_ranges(self)
         if self.scheme not in SCHEMES:
             raise DomainError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if not (self.linf_guard > 0):
-            raise DomainError("linf_guard must be positive")
 
 
 @dataclass

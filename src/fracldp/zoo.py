@@ -64,7 +64,7 @@ def build_model(
     if grid is None:
         grid = standard_grid()
     if drift_form == "cubic_minus_linear":
-        drift = DriftSpec(form="cubic_minus_linear")
+        drift = DriftSpec(form="cubic_minus_linear", p=p)
     elif drift_form == "pure_power":
         drift = DriftSpec(
             form="pure_power", p=p, lambda1=1.0, lambda2=1.0,

@@ -217,9 +217,19 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_negative_seed_flag_exits_2(tmp_path):
+@pytest.mark.parametrize("flags, key", [
+    (["--seed", "-3"], "run.seed"),
+    (["--workers", "0"], "run.workers"),
+    # main, not run_cli: run_cli always passes its own --out
+    (["--out", ""], "run.output_dir"),
+], ids=["seed", "workers", "out"])
+def test_bad_run_flag_exits_2(tmp_path, monkeypatch, capsys, flags, key):
+    """Flags are validated like the config keys they override, before any run."""
+    monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, "simulate", SCALAR)
-    assert run_cli("simulate", cfg, tmp_path / "out", "--seed", -3) == 2
+    assert main(["simulate", "--config", str(cfg), *flags]) == 2
+    assert key in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

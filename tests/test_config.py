@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracldp.config import (
     ConfigError,
@@ -14,6 +16,20 @@ from fracldp.config import (
     parse_config,
     serialize_config,
 )
+from fracldp.grids import DomainError, Field, GridSpec
+from fracldp.ldp import LdpExperimentPlan
+from fracldp.models import (
+    ConditionError,
+    DriftSpec,
+    ForcingSpec,
+    ModelSpec,
+    NoiseSpec,
+    SamplingPlan,
+)
+from fracldp.rate import OptimizerSettings, RateQuery
+from fracldp.skeleton import TimeGrid
+from fracldp.stochastic import SdeConfig
+from fracldp.zoo import scalar_linear_model
 
 
 def minimal(name="simulate", **sections):
@@ -100,9 +116,113 @@ def test_q_cross_field_error_cites_range():
     ({"model": {"preset": "built", "p": 6.0, "q": 3.5}}, {"model.p", "model.q"}),
     ({"model": {"preset": "built", "drift_form": "pure_power", "p": 2.0, "q": 2.0}},
      {"model.p"}),
-], ids=["n-steps-1", "cubic-p2.5", "cubic-p6-q3.5", "pure-power-p2"])
+    # a bool or an integral float is not an integer
+    ({"grid": {"dim": True}}, {"grid.dim"}),
+    ({"grid": {"dim": 1.0}}, {"grid.dim"}),
+    # an int beyond the float range is not a finite number
+    ({"grid": {"half_length": 10**400}}, {"grid.half_length"}),
+], ids=["n-steps-1", "cubic-p2.5", "cubic-p6-q3.5", "pure-power-p2", "dim-true",
+        "dim-1.0", "half-length-huge-int"])
 def test_config_rejects_what_the_constructors_reject(sections, keys):
     assert keys <= error_keys(minimal(**sections))
+
+
+# Every config key that a constructor consumes, with that constructor built
+# from the key's value; model.p once per drift form, and model.q through the
+# assembled model, which holds the q <= 1 + p/2 rule.
+_MODEL = scalar_linear_model()
+_U0 = Field(_MODEL.grid, np.zeros(_MODEL.grid.shape))
+_TG = TimeGrid(horizon=0.25, n_steps=64)
+
+
+def _noise(n_modes=1, q=2.0, saturation=0.1):
+    grid = _MODEL.grid
+    k = n_modes if type(n_modes) is int and n_modes >= 1 else 1  # sizes the arrays only
+    return NoiseSpec(
+        grid=grid, n_modes=n_modes, q=q, kappa=Field(grid, np.zeros(grid.shape)),
+        sigma1=np.zeros((k, *grid.shape)), coeff_alpha=np.ones(k), coeff_beta=np.ones(k),
+        coeff_gamma=np.ones(k), saturation=saturation,
+    )
+
+
+def _plan(**kw):
+    base = dict(model=_MODEL, initial_data=(_U0,), eps_list=(0.5,), delta=0.3, timegrid=_TG)
+    return LdpExperimentPlan(**{**base, **kw})
+
+
+BUILT = {"preset": "built"}
+AGREEMENT = {
+    "grid.dim": ("simulate", None, lambda v: GridSpec(dim=v)),
+    "grid.half_length": ("simulate", None, lambda v: GridSpec(half_length=v)),
+    "grid.points_per_dim": ("simulate", None, lambda v: GridSpec(points_per_dim=v)),
+    "grid.alpha": ("simulate", None, lambda v: GridSpec(alpha=v)),
+    "timegrid.horizon": ("simulate", None, lambda v: TimeGrid(horizon=v, n_steps=64)),
+    "timegrid.n_steps": ("simulate", None, lambda v: TimeGrid(horizon=0.25, n_steps=v)),
+    "experiment.epsilon": ("simulate", None, lambda v: SdeConfig(epsilon=v, timegrid=_TG)),
+    "experiment.linf_guard": (
+        "simulate", None, lambda v: SdeConfig(epsilon=0.1, timegrid=_TG, linf_guard=v)),
+    "experiment.tau": (
+        "rate-min", None, lambda v: RateQuery(u0=_U0, target_endpoint=_U0, tau_end=v)),
+    "experiment.max_iters": ("rate-min", None, lambda v: OptimizerSettings(max_iters=v)),
+    "experiment.max_continuations": (
+        "rate-min", None, lambda v: OptimizerSettings(max_continuations=v)),
+    "experiment.residual_tol": ("rate-min", None, lambda v: OptimizerSettings(residual_tol=v)),
+    "experiment.eps_list": ("mc-ldp", None, lambda v: _plan(eps_list=v)),
+    "experiment.delta": ("mc-ldp", None, lambda v: _plan(delta=v)),
+    "experiment.s_levels": ("mc-ldp", None, lambda v: _plan(s_levels=v)),
+    "experiment.n_paths": ("mc-ldp", None, lambda v: _plan(n_paths=v)),
+    "experiment.slack": ("mc-ldp", None, lambda v: _plan(slack=v)),
+    "experiment.n_samples": ("validate-model", None, lambda v: SamplingPlan(n_samples=v)),
+    "experiment.u_max": ("validate-model", None, lambda v: SamplingPlan(u_max=v)),
+    "experiment.n_fields": ("validate-model", None, lambda v: SamplingPlan(n_fields=v)),
+    "model.p[cubic]": (
+        "simulate", BUILT, lambda v: DriftSpec(form="cubic_minus_linear", p=v)),
+    "model.p[pure-power]": (
+        "simulate", {**BUILT, "drift_form": "pure_power"},
+        lambda v: DriftSpec(form="pure_power", p=v)),
+    "model.q": ("simulate", BUILT, lambda v: ModelSpec(
+        grid=_MODEL.grid, drift=DriftSpec(), noise=_noise(q=v),
+        forcing=ForcingSpec(grid=_MODEL.grid))),
+    "model.n_modes": ("simulate", BUILT, lambda v: _noise(n_modes=v)),
+    "model.saturation": ("simulate", BUILT, lambda v: _noise(saturation=v)),
+}
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+)
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT))
+@settings(max_examples=60, deadline=None)
+@given(value=st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=4)))
+@example(value=True)
+@example(value=1.0)
+@example(value=2.5)
+@example(value=0)
+@example(value=-1)
+@example(value=float("nan"))
+@example(value=float("inf"))
+@example(value="x")
+def test_config_accepts_exactly_what_the_constructor_accepts(case, value):
+    name, model, build = AGREEMENT[case]
+    key = case.split("[")[0]
+    section, field = key.split(".")
+    doc = {"experiment": {"name": name}}
+    if model is not None:
+        doc["model"] = dict(model)
+    doc.setdefault(section, {})[field] = value
+    try:
+        parse_config(json.dumps(doc))
+        config_ok = True
+    except ConfigError as exc:
+        config_ok = key not in {e["key"] for e in exc.errors}
+    try:
+        build(value)
+        constructor_ok = True
+    except (DomainError, ConditionError):
+        constructor_ok = False
+    assert config_ok == constructor_ok
 
 
 def test_built_keys_forbidden_for_presets():

@@ -34,6 +34,10 @@ def test_grid_rejects_bad_parameters():
     with pytest.raises(DomainError):
         GridSpec(dim=4)
     with pytest.raises(DomainError):
+        GridSpec(dim=True)  # a bool is not an integer
+    with pytest.raises(DomainError):
+        GridSpec(half_length=10**400)  # an int beyond the float range
+    with pytest.raises(DomainError):
         GridSpec(half_length=0.0)
     with pytest.raises(DomainError):
         GridSpec(points_per_dim=96)  # not a power of two

@@ -431,6 +431,13 @@ def test_model_cross_validation():
         zoo.build_model(q=3.2, p=4.0)
 
 
+def test_build_model_passes_p_to_the_cubic_drift():
+    # cubic_minus_linear is a p = 4 drift, and p is range-checked like any other
+    for p in (6.0, "x", float("nan")):
+        with pytest.raises(ConditionError):
+            zoo.build_model(p=p)
+
+
 def test_sampling_plan_validation():
     with pytest.raises(DomainError):
         SamplingPlan(n_samples=10)
