@@ -31,6 +31,7 @@ from .rate import OptimizerSettings, RateQuery
 from .skeleton import TimeGrid
 from .stochastic import SdeConfig
 from .zoo import (
+    BUILD_RANGES,
     boundary_growth_model,
     build_model,
     constant_reduction_model,
@@ -177,9 +178,9 @@ _BUILT_KEYS = {
     "drift_form": ("cubic_minus_linear", _one_of("cubic_minus_linear", "pure_power")),
     "p": (4.0, DriftSpec.RANGES["p"]),
     "noise_form": ("saturated_power", _one_of("saturated_power", "smooth_power")),
-    "q": (2.5, NoiseSpec.RANGES["q"]),
-    "n_modes": (4, NoiseSpec.RANGES["n_modes"]),
-    "gamma0": (0.04, POSITIVE),
+    "q": (2.5, BUILD_RANGES["q"]),
+    "n_modes": (4, BUILD_RANGES["n_modes"]),
+    "gamma0": (0.04, BUILD_RANGES["gamma0"]),
     "saturation": (0.1, NoiseSpec.RANGES["saturation"]),
 }
 

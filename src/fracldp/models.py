@@ -771,15 +771,12 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     ts = np.linspace(0.0, plan.t_max, 3)
     checks = []
 
-    def s2(t, k, uu):
-        return noise.sigma2_mode(t, k, uu)
-
     # per-mode scalar conditions
     worst_lip, worst_gr = None, None
     for t in ts:
         for k in range(noise.n_modes):
             a_k, b_k, g_k = noise.coeff_alpha[k], noise.coeff_beta[k], noise.coeff_gamma[k]
-            s_1, s_2 = s2(t, k, u), s2(t, k, u2)
+            s_1, s_2 = noise.sigma2_mode(t, k, u), noise.sigma2_mode(t, k, u2)
             lip_rhs = a_k * (1.0 + np.abs(u) ** (q - 2.0) + np.abs(u2) ** (q - 2.0)) * (u - u2) ** 2
             lip_lhs = (s_1 - s_2) ** 2
             m, i = _normalized_min(lip_rhs - lip_lhs, lip_rhs + lip_lhs)
@@ -807,9 +804,6 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     constants["linear_growth_c"] = c_lin
     c_lip = lipschitz_constant(noise, p)
     constants["hs_lipschitz_c"] = c_lip
-
-    def field_lp(vals, r):
-        return (w * np.sum(np.abs(vals) ** r)) ** (1.0 / r)
 
     worst_split = {eps: None for eps in eps_list}
     worst_lin = None

@@ -153,23 +153,59 @@ def _has_exact_gradients(model: ModelSpec) -> bool:
     return model.noise.separable or model.noise.sigma2_deriv_callback is not None
 
 
-def _dist_sq_and_partials(grid, tg, states, target_path, target_endpoint):
-    """Penalty distance squared and its plain partials d(dist^2)/d(states).
+def _path_penalty(grid, tg, target_path):
+    """mu times the squared time-RMS L2 distance to a target path; the residual is the distance."""
+    c = 1.0 / (tg.n_steps + 1)
 
-    Path targets use the squared time-RMS of the L2 spatial norm; endpoint
-    targets the squared L2 norm at the horizon. Both are smooth in v.
-    """
-    if target_path is not None:
-        c = 1.0 / (tg.n_steps + 1)
+    def penalty(states, mu):
         diffs = states - target_path
         dist_sq = c * float(grid.cell_volume * np.sum(diffs**2))
-        dpen = (2.0 * c * grid.cell_volume) * diffs
-    else:
+        return mu * dist_sq, mu * ((2.0 * c * grid.cell_volume) * diffs), float(np.sqrt(dist_sq))
+
+    return penalty
+
+
+def _endpoint_penalty(grid, target_endpoint):
+    """mu times the squared L2 distance at the horizon; the residual is the distance."""
+
+    def penalty(states, mu):
         diff_end = states[-1] - target_endpoint
         dist_sq = float(grid.cell_volume * np.sum(diff_end**2))
         dpen = np.zeros_like(states)
-        dpen[-1] = 2.0 * grid.cell_volume * diff_end
-    return dist_sq, dpen
+        dpen[-1] = mu * (2.0 * grid.cell_volume * diff_end)
+        return mu * dist_sq, dpen, float(np.sqrt(dist_sq))
+
+    return penalty
+
+
+def _hinge_penalty(grid, tg, phi_ref, radius, mode):
+    """mu gap^2 for the ball constraint of ``constrained_rate_minimum``, and its distance.
+
+    Returns ``(penalty, dist)``: ``dist(states)`` is the time-averaged L2
+    distance to ``phi_ref`` (trapezoid rule in time), and the penalty's
+    residual is the gap, max(0, dist - 0.95 radius) inside and
+    max(0, 1.05 radius - dist) outside. Its state partials are
+    d(gap^2)/du_n = 2 gap s tw_n cv (u_n - phi_n)/(T dist), s = +1 inside
+    (dist too big) and -1 outside (dist too small); they are left zero where
+    the gap is zero and on the reference itself, where dist has no gradient.
+    """
+    tw = np.full(tg.n_steps + 1, tg.dt)
+    tw[0] = tw[-1] = 0.5 * tg.dt
+    sgn = 1.0 if mode == "inside" else -1.0
+
+    def dist(states):
+        per = grid.cell_volume * ((states - phi_ref).reshape(tg.n_steps + 1, -1) ** 2).sum(axis=1)
+        return float(np.sqrt(np.sum(tw * per) / tg.horizon))
+
+    def penalty(states, mu):
+        d = dist(states)
+        gap = max(0.0, d - 0.95 * radius) if mode == "inside" else max(0.0, 1.05 * radius - d)
+        if gap > 0.0 and d > 0.0:
+            scale = 2.0 * mu * gap * sgn * grid.cell_volume / (tg.horizon * d)
+            return mu * gap**2, (scale * tw).reshape(-1, *([1] * grid.dim)) * (states - phi_ref), gap
+        return mu * gap**2, np.zeros_like(states), gap
+
+    return penalty, dist
 
 
 def _linearize(model: ModelSpec, kernel: StepKernel, states: np.ndarray, weights: np.ndarray):
@@ -246,38 +282,29 @@ def _adjoint_grad(model, kernel, states, weights, dpen) -> np.ndarray:
     return tg.dt * grad
 
 
-def _objective_and_grad(model, kernel, u0, flat_v, mu, target_path, target_endpoint):
-    """J_mu(v) = action + mu dist^2 and dJ/dv via one forward/adjoint sweep."""
-    tg = kernel.timegrid
-    dt = tg.dt
-    n_modes = model.noise.n_modes
-    v = flat_v.reshape(tg.n_steps, n_modes)
-    weights = dt * v
-    states = _forward_states(model, kernel, u0, weights)
+def _objective_and_grad(model, kernel, u0, flat_v, mu, penalty, exact=True):
+    """J_mu(v) = action(v) + mu pen(u_v), its gradient and the residual, from one sweep.
 
-    dist_sq, dpen = _dist_sq_and_partials(model.grid, tg, states, target_path, target_endpoint)
-    act = 0.5 * dt * float(np.sum(v**2))
-    value = act + mu * dist_sq
-    grad_v = dt * v + _adjoint_grad(model, kernel, states, weights, mu * dpen)
-    return value, grad_v.reshape(-1), float(np.sqrt(dist_sq))
-
-
-def _objective_fd(model, kernel, u0, flat_v, mu, target_path, target_endpoint):
-    """Value + residual only (no adjoint); also backs numeric gradients."""
+    ``penalty(states, mu) -> (mu pen, dpen, residual)`` reads the forward
+    states u_0..u_N: ``dpen`` is d(mu pen)/d(states), and the residual is the
+    constraint violation the continuation drives below its tolerance, the
+    same at every mu. Returns ``(J, dJ/dv or None, residual)``; the gradient
+    is None unless ``exact``, and the adjoint sweep is skipped when ``dpen``
+    is all zero. Raises BlowUpError when the forward sweep leaves the finite
+    range.
+    """
     tg = kernel.timegrid
     v = flat_v.reshape(tg.n_steps, model.noise.n_modes)
-    states = _forward_states(model, kernel, u0, tg.dt * v)
-    dist_sq, _ = _dist_sq_and_partials(model.grid, tg, states, target_path, target_endpoint)
-    act = 0.5 * tg.dt * float(np.sum(v**2))
-    return act + mu * dist_sq, float(np.sqrt(dist_sq))
-
-
-def _residual_of(model, kernel, u0, x, target_path, target_endpoint) -> float:
-    try:
-        _, res = _objective_fd(model, kernel, u0, x, 1.0, target_path, target_endpoint)
-    except BlowUpError:
-        return float("inf")
-    return res
+    weights = tg.dt * v
+    states = _forward_states(model, kernel, u0, weights)
+    pen, dpen, res = penalty(states, mu)
+    value = 0.5 * tg.dt * float(np.sum(v**2)) + pen
+    if not exact:
+        return value, None, res
+    grad_v = tg.dt * v
+    if dpen.any():
+        grad_v = grad_v + _adjoint_grad(model, kernel, states, weights, dpen)
+    return value, grad_v.reshape(-1), res
 
 
 def _stepwise_least_squares(model: ModelSpec, kernel: StepKernel, target_path: np.ndarray) -> np.ndarray:
@@ -308,33 +335,61 @@ def _stepwise_least_squares(model: ModelSpec, kernel: StepKernel, target_path: n
     return v
 
 
-def _penalty_continuation(objective, residual, x, tol, st, exact, tg) -> RateResult:
+def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=None) -> RateResult:
     """The doubling penalty continuation behind every rate minimizer.
 
-    ``objective(z, mu)`` returns (J_mu(z), dJ/dz) — the gradient None when
-    ``exact`` is false, and L-BFGS then differences numerically — and may
-    raise BlowUpError; ``residual(z)`` is the constraint violation to drive
-    below ``tol``. Each continuation runs L-BFGS from the previous iterate,
-    doubles mu, and keeps the best-residual iterate seen; the starting one
-    counts, so a feasible warm start is never lost to a low-penalty wander.
-    Three continuations without a 1% gain end the run as infeasible.
-    Converged results carry the minimizer's action as value, the rest +inf.
-    """
+    Minimizes J_mu(z) = action(z) + mu pen(u_z) over the flattened control
+    for a ``penalty`` of the ``_objective_and_grad`` contract, and drives its
+    residual below ``tol``. This is the one place that picks exact (adjoint)
+    or numeric gradients, that turns a BlowUpError into a steep retreat for
+    the line search or an infinite residual, and that reads residuals. They
+    come from a one-entry memo, the bytes of the last evaluated point and its
+    residual: L-BFGS returns the point it evaluated last, so only a miss (a
+    start point, or after numeric gradients) runs a sweep of its own.
 
-    def residual_or_inf(z):
+    The run begins at the first of ``starts`` with the least residual. When
+    ``singular(states)`` holds there, the penalty gives L-BFGS no direction
+    and the start takes a fixed pseudo-random nudge first. Each continuation
+    runs L-BFGS from the previous iterate, doubles mu, and keeps the
+    best-residual iterate seen; the start counts, so a feasible warm start is
+    never lost to a low-penalty wander. Three continuations without a 1% gain
+    end the run as infeasible. Converged results carry the minimizer's action
+    as value, the rest +inf.
+    """
+    tg = kernel.timegrid
+    exact = _has_exact_gradients(model)
+    memo = [None, float("inf")]  # bytes of the last evaluated point, its residual
+
+    def evaluate(z, mu, grad):
+        memo[:] = z.tobytes(), float("inf")  # what a blow-up leaves
+        val, g, memo[1] = _objective_and_grad(model, kernel, u0, z, mu, penalty, grad)
+        return val, g
+
+    def residual(z):
+        if memo[0] != z.tobytes():
+            try:
+                evaluate(z, 1.0, False)
+            except BlowUpError:
+                pass
+        return memo[1]
+
+    if singular is not None:
+        x = starts[0]
         try:
-            return residual(z)
+            if singular(_forward_states(model, kernel, u0, tg.dt * x.reshape(tg.n_steps, -1))):
+                starts = [x + 1e-2 * np.random.Generator(np.random.Philox(99)).standard_normal(x.size)]
         except BlowUpError:
-            return float("inf")
+            pass
 
     mu = st.penalty0
-    best = (residual_or_inf(x), x.copy(), mu)
+    res, x = min(((residual(z), z) for z in starts), key=lambda c: c[0])
+    best = (res, x.copy(), mu)
     stall = 0
     total_iters = 0
     for _ in range(st.max_continuations if best[0] > tol else 0):
         def fun(z, mu=mu):
             try:
-                val, grad = objective(z, mu)
+                val, grad = evaluate(z, mu, exact)
             except BlowUpError:
                 # hand the line search a steep retreat toward smaller controls
                 val, grad = _RETREAT * (1.0 + float(z @ z)), 2.0 * _RETREAT * z
@@ -349,7 +404,7 @@ def _penalty_continuation(objective, residual, x, tol, st, exact, tg) -> RateRes
         )
         x = sol.x
         total_iters += int(sol.nit)
-        res = residual_or_inf(x)
+        res = residual(x)
         if res < best[0]:
             stall = 0 if res < 0.99 * best[0] else stall + 1
             best = (res, x.copy(), mu)
@@ -390,8 +445,6 @@ def minimize_rate(
     grid = model.grid
     if query.u0.grid != grid:
         raise GridMismatchError("query initial datum grid does not match the model")
-    target_path = None
-    target_endpoint = None
     if query.mode == "path":
         target_path = np.asarray(query.target_path, dtype=float)
         if target_path.shape != (tg.n_steps + 1, *grid.shape):
@@ -401,45 +454,29 @@ def minimize_rate(
         start_gap = float(np.sqrt(array_l2_sq(grid, target_path[0] - query.u0.values)))
         if start_gap > 1e-9:
             raise DomainError(f"target path starts {start_gap:.3e} away from u0 (limit 1e-9)")
+        penalty = _path_penalty(grid, tg, target_path)
         tol = query.settings.residual_tol
     else:
         if query.target_endpoint.grid != grid:
             raise GridMismatchError("endpoint target grid does not match the model")
-        target_endpoint = query.target_endpoint.values
+        penalty = _endpoint_penalty(grid, query.target_endpoint.values)
         tol = query.tau_end
 
-    st = query.settings
     kernel = StepKernel.build(model, tg)
     n_modes = model.noise.n_modes
-    dim = tg.n_steps * n_modes
     if warm_start is not None and warm_start.values.shape != (tg.n_steps, n_modes):
         raise GridMismatchError("warm start control has the wrong shape")
+    zero = np.zeros(tg.n_steps * n_modes)
     if warm_start is not None:
-        x = warm_start.values.reshape(-1).copy()
-    elif target_path is not None:
+        starts = [warm_start.values.reshape(-1)]
+    elif query.mode == "path":
         # reachable paths are solved outright by the stepwise least squares;
         # the continuation below then only has to certify (or polish) it
         x = _stepwise_least_squares(model, kernel, target_path).reshape(-1)
-        if not np.all(np.isfinite(x)) or _residual_of(
-            model, kernel, query.u0, x, target_path, target_endpoint
-        ) > _residual_of(model, kernel, query.u0, np.zeros(dim), target_path, target_endpoint):
-            x = np.zeros(dim)
+        starts = [x, zero] if np.all(np.isfinite(x)) else [zero]
     else:
-        x = np.zeros(dim)
-
-    exact = _has_exact_gradients(model)
-
-    def objective(z, mu):
-        if exact:
-            return _objective_and_grad(
-                model, kernel, query.u0, z, mu, target_path, target_endpoint
-            )[:2]
-        return _objective_fd(model, kernel, query.u0, z, mu, target_path, target_endpoint)[0], None
-
-    def residual(z):
-        return _residual_of(model, kernel, query.u0, z, target_path, target_endpoint)
-
-    return _penalty_continuation(objective, residual, x, tol, st, exact, tg)
+        starts = [zero]
+    return _penalty_continuation(model, kernel, query.u0, penalty, starts, tol, query.settings)
 
 
 def check_gradient(
@@ -454,8 +491,8 @@ def check_gradient(
     rng = np.random.default_rng(seed)
     kernel = StepKernel.build(model, tg)
     v = scale * rng.standard_normal(tg.n_steps * model.noise.n_modes)
-    target = g0_map(model, u0, Control.zero(tg, model.noise.n_modes))
-    _, grad, _ = _objective_and_grad(model, kernel, u0, v, 5.0, target, None)
+    penalty = _path_penalty(model.grid, tg, g0_map(model, u0, Control.zero(tg, model.noise.n_modes)))
+    _, grad, _ = _objective_and_grad(model, kernel, u0, v, 5.0, penalty)
     num = np.empty_like(v)
     h = 1e-6
     for i in range(v.size):
@@ -463,8 +500,8 @@ def check_gradient(
         vp[i] += h
         vm = v.copy()
         vm[i] -= h
-        fp, _ = _objective_fd(model, kernel, u0, vp, 5.0, target, None)
-        fm, _ = _objective_fd(model, kernel, u0, vm, 5.0, target, None)
+        fp = _objective_and_grad(model, kernel, u0, vp, 5.0, penalty, False)[0]
+        fm = _objective_and_grad(model, kernel, u0, vm, 5.0, penalty, False)[0]
         num[i] = (fp - fm) / (2 * h)
     denom = np.maximum(np.abs(num), 1e-8)
     return float(np.max(np.abs(grad - num) / denom))
@@ -653,59 +690,15 @@ def constrained_rate_minimum(
     st = settings or OptimizerSettings()
     kernel = StepKernel.build(model, tg)
     n_modes = model.noise.n_modes
-    dim = tg.n_steps * n_modes
     if warm_start is not None and warm_start.values.shape != (tg.n_steps, n_modes):
         raise GridMismatchError("warm start control has the wrong shape")
-    x = warm_start.values.reshape(-1).copy() if warm_start is not None else np.zeros(dim)
+    x = warm_start.values.reshape(-1) if warm_start is not None else np.zeros(tg.n_steps * n_modes)
     phi_ref = np.asarray(phi_ref, dtype=float)
     if phi_ref.shape != (tg.n_steps + 1, *model.grid.shape):
         raise GridMismatchError("reference trajectory shape mismatch")
 
-    tw = np.full(tg.n_steps + 1, tg.dt)
-    tw[0] = tw[-1] = 0.5 * tg.dt
-    grid = model.grid
-
-    def rms_dist(states: np.ndarray) -> float:
-        per = grid.cell_volume * ((states - phi_ref).reshape(tg.n_steps + 1, -1) ** 2).sum(axis=1)
-        return float(np.sqrt(np.sum(tw * per) / tg.horizon))
-
-    def violation(dist: float) -> float:
-        if mode == "inside":
-            return max(0.0, dist - 0.95 * radius)
-        return max(0.0, 1.05 * radius - dist)
-
-    exact = _has_exact_gradients(model)
-    if mode == "outside":
-        # the distance gradient is singular on the reference path itself, so a
-        # zero start (u_v = phi_ref) needs a deterministic symmetry-breaking nudge
-        try:
-            if rms_dist(_forward_states(model, kernel, u0, tg.dt * x.reshape(tg.n_steps, n_modes))) < 1e-12:
-                x = x + 1e-2 * np.random.Generator(np.random.Philox(99)).standard_normal(dim)
-        except BlowUpError:
-            pass
-
-    def value_and_gap(z):
-        states = _forward_states(model, kernel, u0, tg.dt * z.reshape(tg.n_steps, n_modes))
-        dist = rms_dist(states)
-        gap = violation(dist)
-        return 0.5 * tg.dt * float(np.sum(z**2)), dist, gap, states
-
-    def objective(z, mu):
-        act, dist, gap, states = value_and_gap(z)
-        val = act + mu * gap**2
-        if not exact:
-            return val, None
-        v = z.reshape(tg.n_steps, n_modes)
-        grad = tg.dt * v
-        if gap > 0.0 and dist > 0.0:
-            # d(gap^2)/du_n = 2 gap s tw_n cv (u_n - phi_n)/(T dist),
-            # s = +1 inside (dist too big), -1 outside (dist too small)
-            sgn = 1.0 if mode == "inside" else -1.0
-            scale = 2.0 * mu * gap * sgn * grid.cell_volume / (tg.horizon * dist)
-            dpen = (scale * tw).reshape(-1, *([1] * grid.dim)) * (states - phi_ref)
-            grad = grad + _adjoint_grad(model, kernel, states, tg.dt * v, dpen)
-        return val, grad.reshape(-1)
-
-    return _penalty_continuation(
-        objective, lambda z: value_and_gap(z)[2], x, st.residual_tol, st, exact, tg
-    )
+    penalty, dist = _hinge_penalty(model.grid, tg, phi_ref, radius, mode)
+    # the distance gradient is singular on the reference path itself, so an
+    # outside-mode start on it (u_v = phi_ref) needs a symmetry-breaking nudge
+    singular = (lambda states: dist(states) < 1e-12) if mode == "outside" else None
+    return _penalty_continuation(model, kernel, u0, penalty, [x], st.residual_tol, st, singular)

@@ -33,6 +33,7 @@ from .skeleton import (
     StepKernel,
     TimeGrid,
     evolve_dense,
+    solve_skeleton,
     step_once,
 )
 
@@ -509,8 +510,8 @@ def uniform_convergence_experiment(
     eps_arr = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_arr, eps_arr[1:])):
         raise DomainError("eps_list must be strictly decreasing")
-    if eta <= 0:
-        raise DomainError("eta must be positive")
+    if not POSITIVE.ok(eta):
+        raise DomainError(f"eta: expected {POSITIVE.expected}, found {eta!r}")
     for i, u0 in enumerate(u0_set):
         norm = float(np.sqrt(array_l2_sq(model.grid, u0.values)))
         if radius_bound is not None and norm > radius_bound + 1e-9:
@@ -521,8 +522,6 @@ def uniform_convergence_experiment(
 
     tg = v_set[0].timegrid
     skeletons = {}
-    from .skeleton import solve_skeleton
-
     for i, u0 in enumerate(u0_set):
         for j, v in enumerate(v_set):
             skeletons[(i, j)] = solve_skeleton(model, u0, v).trajectory

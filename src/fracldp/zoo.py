@@ -9,10 +9,16 @@ devices, not certified models.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from .grids import Field, GridSpec
-from .models import DriftSpec, ForcingSpec, ModelSpec, NoiseSpec, smooth_bump
+from .grids import POSITIVE, Field, GridSpec, check_ranges
+from .models import ConditionError, DriftSpec, ForcingSpec, ModelSpec, NoiseSpec, smooth_bump
+
+# the build_model arguments its noise arrays are derived from; the config's
+# model.q, model.n_modes and model.gamma0 keys read these same objects
+BUILD_RANGES = {"q": NoiseSpec.RANGES["q"], "n_modes": NoiseSpec.RANGES["n_modes"], "gamma0": POSITIVE}
 
 
 def standard_grid(alpha: float = 1.0, points: int = 128, half_length: float = 4.0) -> GridSpec:
@@ -61,6 +67,7 @@ def build_model(
     forcing_radius: float = 0.5,
 ) -> ModelSpec:
     """Assemble a certified model from bump-parameterized data (config surface)."""
+    check_ranges(SimpleNamespace(RANGES=BUILD_RANGES, q=q, n_modes=n_modes, gamma0=gamma0), ConditionError)
     if grid is None:
         grid = standard_grid()
     if drift_form == "cubic_minus_linear":

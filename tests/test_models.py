@@ -438,6 +438,14 @@ def test_build_model_passes_p_to_the_cubic_drift():
             zoo.build_model(p=p)
 
 
+def test_build_model_range_checks_before_deriving_the_noise():
+    # q, n_modes and gamma0 feed the mode coefficients and the sigma1 stack,
+    # so they are checked first and the error names the argument
+    for name, bad in (("q", "x"), ("n_modes", 2.5), ("n_modes", True), ("gamma0", -1.0)):
+        with pytest.raises(ConditionError, match=f"^{name}: "):
+            zoo.build_model(**{name: bad})
+
+
 def test_sampling_plan_validation():
     with pytest.raises(DomainError):
         SamplingPlan(n_samples=10)

@@ -231,13 +231,13 @@ def test_batched_adjoint_matches_per_step_sweep(name, target):
     states = rate._forward_states(model, kernel, u0, weights)
     ref_path = states + 0.1 * rng.standard_normal(states.shape)
     if target == "endpoint":
-        _, dpen = rate._dist_sq_and_partials(grid, tg, states, None, ref_path[-1])
+        penalty = rate._endpoint_penalty(grid, ref_path[-1])
     elif target == "path":
-        _, dpen = rate._dist_sq_and_partials(grid, tg, states, ref_path, None)
-    else:  # the trapezoid-weighted hinge partials of constrained_rate_minimum
-        tw = np.full(tg.n_steps + 1, tg.dt)
-        tw[0] = tw[-1] = 0.5 * tg.dt
-        dpen = (-3.0 * tw).reshape(-1, *([1] * grid.dim)) * (states - ref_path)
+        penalty = rate._path_penalty(grid, tg, ref_path)
+    else:  # the trapezoid-weighted hinge of constrained_rate_minimum, gap > 0
+        penalty, _ = rate._hinge_penalty(grid, tg, ref_path, 100.0, "outside")
+    _, dpen, _ = penalty(states, 1.5)
+    assert dpen.any()
     got = rate._adjoint_grad(model, kernel, states, weights, dpen)
     ref = _per_step_adjoint_grad(model, kernel, states, weights, dpen)
     assert got.shape == ref.shape
@@ -254,6 +254,35 @@ def test_adjoint_gradient_time_dependent_callbacks():
 
 # ---------------------------------------------------------------------------
 # rate minimization
+
+
+def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch):
+    """Residuals come from the sweeps L-BFGS already ran: an exact-gradient
+    endpoint solve sweeps once per objective evaluation, plus the start."""
+    model, u0, tg = setup
+    assert rate._has_exact_gradients(model)
+    counts = {"sweeps": 0, "evals": 0, "continuations": 0}
+    forward, minimize = rate._forward_states, rate.optimize.minimize
+
+    def counted_forward(*args):
+        counts["sweeps"] += 1
+        return forward(*args)
+
+    def counted_minimize(fun, x0, **kwargs):
+        def counted_fun(z):
+            counts["evals"] += 1
+            return fun(z)
+
+        counts["continuations"] += 1
+        return minimize(counted_fun, x0, **kwargs)
+
+    monkeypatch.setattr(rate, "_forward_states", counted_forward)
+    monkeypatch.setattr(rate.optimize, "minimize", counted_minimize)
+    v_true = Control(tg, 0.6 * np.random.default_rng(11).standard_normal((tg.n_steps, model.noise.n_modes)))
+    endpoint = Field(model.grid, g0_map(model, u0, v_true, tg)[-1])
+    res = minimize_rate(model, RateQuery(u0=u0, target_endpoint=endpoint, tau_end=1e-3), tg)
+    assert res.converged and counts["continuations"] >= 2
+    assert counts["sweeps"] <= counts["evals"] + 1
 
 
 def test_noise_free_path_has_zero_rate_all_zoo_models():

@@ -322,8 +322,9 @@ def test_uniform_convergence_validation(default_setup):
         uniform_convergence_experiment(m, [u0], [], [1.0, 0.1], 0.1, 100, 0)
     with pytest.raises(DomainError):
         uniform_convergence_experiment(m, [u0], [v], [0.1, 1.0], 0.1, 100, 0)
-    with pytest.raises(DomainError):
-        uniform_convergence_experiment(m, [u0], [v], [1.0, 0.1], -0.5, 100, 0)
+    for eta in (-0.5, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            uniform_convergence_experiment(m, [u0], [v], [1.0, 0.1], eta, 100, 0)
     with pytest.raises(DomainError):
         uniform_convergence_experiment(m, [u0], [v], [1.0, 0.1], 0.1, 100, 0,
                                        radius_bound=0.1)  # ||u0|| ~ 0.7 > 0.1
