@@ -26,7 +26,7 @@ import numpy as np
 
 from .grids import EPS_LADDER, NON_NEGATIVE, POSITIVE, Field, GridSpec, Range, at_least, is_num
 from .ldp import LdpExperimentPlan
-from .models import DriftSpec, ModelSpec, NoiseSpec, SamplingPlan
+from .models import DriftSpec, ModelSpec, NoiseSpec, SamplingPlan, noise_exponent_range
 from .rate import OptimizerSettings, RateQuery
 from .skeleton import TimeGrid
 from .stochastic import SdeConfig
@@ -316,15 +316,14 @@ def parse_config(text: str) -> RunConfig:
                     "found": repr(p),
                 })
             p = 4.0
-        if is_num(p) and is_num(q) and q > 1 + p / 2:
-            errors.append({
-                "key": "model.q",
-                "expected": (
-                    "noise growth within the admissible range "
-                    f"[2, 1 + p/2] = [2, {1 + p / 2:g}]"
-                ),
-                "found": repr(q),
-            })
+        if is_num(p) and q is not None:
+            q_range = noise_exponent_range(p)
+            if not q_range.ok(q):
+                errors.append({
+                    "key": "model.q",
+                    "expected": f"noise growth within the admissible range {q_range.expected}",
+                    "found": repr(q),
+                })
     else:
         model = _fill_section(
             model_raw, {"preset": (preset, _ANY)}, "model", errors,

@@ -68,12 +68,16 @@ EPS_LADDER = Range(
 )
 
 
+def check_value(name: str, value, rng: Range, error: type = DomainError) -> None:
+    """Raise ``error`` naming ``name`` when ``value`` is outside ``rng``."""
+    if not rng.ok(value):
+        raise error(f"{name}: expected {rng.expected}, found {value!r}")
+
+
 def check_ranges(obj, error: type = DomainError) -> None:
     """Raise ``error`` for the first field of ``obj`` outside its ``RANGES`` entry."""
     for name, rng in obj.RANGES.items():
-        value = getattr(obj, name)
-        if not rng.ok(value):
-            raise error(f"{name}: expected {rng.expected}, found {value!r}")
+        check_value(name, getattr(obj, name), rng, error)
 
 
 @dataclass(frozen=True)

@@ -450,6 +450,16 @@ class ForcingSpec:
 # assembled model
 
 
+def noise_exponent_range(p: float) -> Range:
+    """The admissible noise exponents for a drift of exponent p: 2 <= q <= 1 + p/2.
+
+    The one statement of this cross-field rule: ``ModelSpec`` and the config
+    layer both read it.
+    """
+    hi = 1.0 + p / 2.0
+    return Range(lambda q: is_num(q) and 2.0 <= q <= hi, f"[2, 1 + p/2] = [2, {hi:g}]")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Grid + drift + noise + forcing, cross-validated at construction."""
@@ -462,11 +472,9 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.noise.grid != self.grid or self.forcing.grid != self.grid:
             raise GridMismatchError("noise/forcing grids do not match the model grid")
-        hi = 1.0 + self.drift.p / 2.0
-        if not (2.0 <= self.noise.q <= hi):
-            raise ConditionError(
-                f"noise exponent q = {self.noise.q} outside [2, 1 + p/2] = [2, {hi}]"
-            )
+        q_range = noise_exponent_range(self.drift.p)
+        if not q_range.ok(self.noise.q):
+            raise ConditionError(f"noise exponent q = {self.noise.q} outside {q_range.expected}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ rate results compose exactly with the skeleton and Monte Carlo modules.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import ClassVar, Optional, Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 from scipy import optimize
 
 from .grids import DomainError, Field, GridMismatchError, array_l2_sq
-from .grids import POSITIVE, at_least, check_ranges
+from .grids import NON_NEGATIVE, POSITIVE, at_least, check_ranges, check_value
 from .models import ModelSpec
 from .skeleton import (
     BlowUpError,
@@ -127,7 +128,11 @@ _RETREAT = 1.0e12  # objective value handed to the line search when a probe blow
 
 
 def _forward_states(model: ModelSpec, kernel: StepKernel, u0: Field, weights: np.ndarray) -> np.ndarray:
-    """All states u_0..u_N of the step recursion (adjoint needs the full sweep)."""
+    """All states u_0..u_N of the step recursion (adjoint needs the full sweep).
+
+    ``step_once`` carries non-finite values, so the sweep runs to the end and
+    checks the whole stack once; BlowUpError names the first non-finite step.
+    """
     tg = kernel.timegrid
     states = np.empty((tg.n_steps + 1, *model.grid.shape))
     states[0] = u0.values
@@ -135,15 +140,18 @@ def _forward_states(model: ModelSpec, kernel: StepKernel, u0: Field, weights: np
     ts = tg.times()
     for n in range(tg.n_steps):
         u, _ = step_once(kernel, ts[n], u, weights[n])
-        if not np.all(np.isfinite(u)):
-            raise BlowUpError(n + 1, float("inf"))
         states[n + 1] = u
+    finite = np.isfinite(states[1:].reshape(tg.n_steps, -1)).all(axis=1)
+    if not finite.all():
+        raise BlowUpError(int(np.argmin(finite)) + 1, float("inf"))
     return states
 
 
 def _apply_propagator(kernel: StepKernel, lam: np.ndarray) -> np.ndarray:
     """The integrating-factor operator; real-symmetric, hence self-adjoint."""
-    return kernel.irfft(kernel.rfft(lam) * kernel.half_propagator)
+    hat = kernel.rfft(lam)
+    hat *= kernel.half_propagator
+    return kernel.irfft(hat)
 
 
 def _has_exact_gradients(model: ModelSpec) -> bool:
@@ -282,29 +290,30 @@ def _adjoint_grad(model, kernel, states, weights, dpen) -> np.ndarray:
     return tg.dt * grad
 
 
-def _objective_and_grad(model, kernel, u0, flat_v, mu, penalty, exact=True):
-    """J_mu(v) = action(v) + mu pen(u_v), its gradient and the residual, from one sweep.
+def _objective_and_grad(model, kernel, states_at, flat_v, mu, penalty, exact=True):
+    """J_mu(v) = action(v) + mu pen(u_v) and its gradient, from one forward sweep.
 
-    ``penalty(states, mu) -> (mu pen, dpen, residual)`` reads the forward
-    states u_0..u_N: ``dpen`` is d(mu pen)/d(states), and the residual is the
-    constraint violation the continuation drives below its tolerance, the
-    same at every mu. Returns ``(J, dJ/dv or None, residual)``; the gradient
-    is None unless ``exact``, and the adjoint sweep is skipped when ``dpen``
-    is all zero. Raises BlowUpError when the forward sweep leaves the finite
-    range.
+    ``states_at(weights)`` returns the forward states u_0..u_N at the mode
+    weights dt v, from a ``_forward_states`` sweep or a memo of one, and
+    raises BlowUpError when the sweep leaves the finite range.
+    ``penalty(states, mu) -> (mu pen, dpen, residual)`` reads those states:
+    ``dpen`` is d(mu pen)/d(states), and the residual is the constraint
+    violation the continuation drives below its tolerance, the same at every
+    mu. Returns ``(J, dJ/dv or None)``; the gradient is None unless
+    ``exact``, and the adjoint sweep is skipped when ``dpen`` is all zero.
     """
     tg = kernel.timegrid
     v = flat_v.reshape(tg.n_steps, model.noise.n_modes)
     weights = tg.dt * v
-    states = _forward_states(model, kernel, u0, weights)
-    pen, dpen, res = penalty(states, mu)
+    states = states_at(weights)
+    pen, dpen, _ = penalty(states, mu)
     value = 0.5 * tg.dt * float(np.sum(v**2)) + pen
     if not exact:
-        return value, None, res
+        return value, None
     grad_v = tg.dt * v
     if dpen.any():
         grad_v = grad_v + _adjoint_grad(model, kernel, states, weights, dpen)
-    return value, grad_v.reshape(-1), res
+    return value, grad_v.reshape(-1)
 
 
 def _stepwise_least_squares(model: ModelSpec, kernel: StepKernel, target_path: np.ndarray) -> np.ndarray:
@@ -342,10 +351,15 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
     for a ``penalty`` of the ``_objective_and_grad`` contract, and drives its
     residual below ``tol``. This is the one place that picks exact (adjoint)
     or numeric gradients, that turns a BlowUpError into a steep retreat for
-    the line search or an infinite residual, and that reads residuals. They
-    come from a one-entry memo, the bytes of the last evaluated point and its
-    residual: L-BFGS returns the point it evaluated last, so only a miss (a
-    start point, or after numeric gradients) runs a sweep of its own.
+    the line search or an infinite residual, and that reads residuals.
+
+    Every sweep goes through a one-entry memo: the weights bytes of the last
+    swept point and its forward states, or the BlowUpError it raised. Only a
+    miss runs ``_forward_states``. The objective, the residual
+    (``penalty(states, mu)[2]``, which does not depend on mu) and the
+    ``singular`` check all read it, so a start point is swept once for its
+    check and its residual, and the first evaluation of each L-BFGS run,
+    which begins where the last sweep ended with only mu changed, is free.
 
     The run begins at the first of ``starts`` with the least residual. When
     ``singular(states)`` holds there, the penalty gives L-BFGS no direction
@@ -358,38 +372,47 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
     """
     tg = kernel.timegrid
     exact = _has_exact_gradients(model)
-    memo = [None, float("inf")]  # bytes of the last evaluated point, its residual
+    memo = [None, None]  # weights bytes of the last sweep, its states or BlowUpError
 
-    def evaluate(z, mu, grad):
-        memo[:] = z.tobytes(), float("inf")  # what a blow-up leaves
-        val, g, memo[1] = _objective_and_grad(model, kernel, u0, z, mu, penalty, grad)
-        return val, g
-
-    def residual(z):
-        if memo[0] != z.tobytes():
+    def states_at(weights):
+        key = weights.tobytes()
+        if memo[0] != key:
             try:
-                evaluate(z, 1.0, False)
-            except BlowUpError:
-                pass
+                states = _forward_states(model, kernel, u0, weights)
+                states.setflags(write=False)  # every reader shares it
+            except BlowUpError as exc:
+                states = exc
+            memo[:] = key, states
+        if isinstance(memo[1], BlowUpError):
+            raise memo[1].with_traceback(None)
         return memo[1]
+
+    def states_of(z):
+        return states_at(tg.dt * z.reshape(tg.n_steps, -1))
+
+    def residual(z, mu):
+        try:
+            return penalty(states_of(z), mu)[2]
+        except BlowUpError:
+            return float("inf")
 
     if singular is not None:
         x = starts[0]
         try:
-            if singular(_forward_states(model, kernel, u0, tg.dt * x.reshape(tg.n_steps, -1))):
+            if singular(states_of(x)):
                 starts = [x + 1e-2 * np.random.Generator(np.random.Philox(99)).standard_normal(x.size)]
         except BlowUpError:
             pass
 
     mu = st.penalty0
-    res, x = min(((residual(z), z) for z in starts), key=lambda c: c[0])
+    res, x = min(((residual(z, mu), z) for z in starts), key=lambda c: c[0])
     best = (res, x.copy(), mu)
     stall = 0
     total_iters = 0
     for _ in range(st.max_continuations if best[0] > tol else 0):
         def fun(z, mu=mu):
             try:
-                val, grad = evaluate(z, mu, exact)
+                val, grad = _objective_and_grad(model, kernel, states_at, z, mu, penalty, exact)
             except BlowUpError:
                 # hand the line search a steep retreat toward smaller controls
                 val, grad = _RETREAT * (1.0 + float(z @ z)), 2.0 * _RETREAT * z
@@ -404,7 +427,7 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
         )
         x = sol.x
         total_iters += int(sol.nit)
-        res = residual(x)
+        res = residual(x, mu)
         if res < best[0]:
             stall = 0 if res < 0.99 * best[0] else stall + 1
             best = (res, x.copy(), mu)
@@ -492,7 +515,8 @@ def check_gradient(
     kernel = StepKernel.build(model, tg)
     v = scale * rng.standard_normal(tg.n_steps * model.noise.n_modes)
     penalty = _path_penalty(model.grid, tg, g0_map(model, u0, Control.zero(tg, model.noise.n_modes)))
-    _, grad, _ = _objective_and_grad(model, kernel, u0, v, 5.0, penalty)
+    sweep = functools.partial(_forward_states, model, kernel, u0)
+    _, grad = _objective_and_grad(model, kernel, sweep, v, 5.0, penalty)
     num = np.empty_like(v)
     h = 1e-6
     for i in range(v.size):
@@ -500,8 +524,8 @@ def check_gradient(
         vp[i] += h
         vm = v.copy()
         vm[i] -= h
-        fp = _objective_and_grad(model, kernel, u0, vp, 5.0, penalty, False)[0]
-        fm = _objective_and_grad(model, kernel, u0, vm, 5.0, penalty, False)[0]
+        fp = _objective_and_grad(model, kernel, sweep, vp, 5.0, penalty, False)[0]
+        fm = _objective_and_grad(model, kernel, sweep, vm, 5.0, penalty, False)[0]
         num[i] = (fp - fm) / (2 * h)
     denom = np.maximum(np.abs(num), 1e-8)
     return float(np.max(np.abs(grad - num) / denom))
@@ -549,11 +573,9 @@ def sample_level_set(
     control. Passing ``controls`` overrides sampling (paired experiments reuse
     one draw across data).
     """
-    if s < 0:
-        raise DomainError("level must be non-negative")
+    check_value("s", s, NON_NEGATIVE)
     if controls is None:
-        if n_samples < 1:
-            raise DomainError("n_samples must be at least 1")
+        check_value("n_samples", n_samples, at_least(1))
         dim = tg.n_steps * model.noise.n_modes
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))

@@ -124,7 +124,9 @@ class StepKernel:
     ``propagator`` is the integrating factor on the full grid shape;
     ``half_propagator`` is its view on the ``rfftn`` half-spectrum, the one
     the step applies. ``half_multipliers`` are the Hermitian-weighted symbol
-    multipliers that ``array_seminorm_sq`` takes.
+    multipliers that ``array_seminorm_sq`` takes. ``fft_shape`` and
+    ``fft_axes`` are the ``s`` and ``axes`` of every transform, built once
+    here rather than on each of the many calls per sweep.
     """
 
     model: ModelSpec
@@ -133,6 +135,8 @@ class StepKernel:
     half_propagator: np.ndarray = dc_field(repr=False, default=None)
     half_multipliers: np.ndarray = dc_field(repr=False, default=None)
     coords: tuple = dc_field(repr=False, default=None)
+    fft_shape: tuple = dc_field(repr=False, default=None)
+    fft_axes: tuple = dc_field(repr=False, default=None)
 
     @staticmethod
     def build(model: ModelSpec, timegrid: TimeGrid) -> "StepKernel":
@@ -147,35 +151,37 @@ class StepKernel:
             half_propagator=prop[..., : grid.points_per_dim // 2 + 1],
             half_multipliers=half_spectrum_multipliers(grid),
             coords=tuple(grid.coords()),
+            fft_shape=grid.shape,
+            fft_axes=tuple(range(-grid.dim, 0)),
         )
-
-    @property
-    def spatial_axes(self) -> tuple:
-        return tuple(range(-self.model.grid.dim, 0))
 
     def rfft(self, u: np.ndarray) -> np.ndarray:
         """Half-spectrum ``rfftn`` of ``u`` over the spatial axes."""
-        return np.fft.rfftn(u, s=self.model.grid.shape, axes=self.spatial_axes)
+        return np.fft.rfftn(u, s=self.fft_shape, axes=self.fft_axes)
 
     def irfft(self, hat: np.ndarray) -> np.ndarray:
         """Inverse of ``rfft``: the real field of grid shape behind ``hat``."""
-        return np.fft.irfftn(hat, s=self.model.grid.shape, axes=self.spatial_axes)
+        return np.fft.irfftn(hat, s=self.fft_shape, axes=self.fft_axes)
 
 
 def step_once(kernel: StepKernel, t: float, u: np.ndarray, w: np.ndarray):
     """One IMEX step; ``u`` may carry leading batch axes, ``w`` is (*batch, K).
 
-    The explicit update goes through ``rfftn``, the half-spectrum propagator
-    and ``irfftn``. Returns (u_next, hat): ``hat`` is the ``rfftn`` of u_next
-    over the spatial axes, shape (*batch, *grid.shape[:-1], N//2 + 1), reused
-    for the spectral diagnostics.
+    This is the only IMEX step: ``batch_paths``, ``evolve_dense`` and the rate
+    forward sweep all call it, so its per-call overhead is paid on every step
+    of every caller. The explicit update goes through ``rfftn``, the
+    half-spectrum propagator and ``irfftn``. Returns (u_next, hat): ``hat`` is
+    the ``rfftn`` of u_next over the spatial axes, shape
+    (*batch, *grid.shape[:-1], N//2 + 1), reused for the spectral diagnostics.
     """
     model = kernel.model
     dt = kernel.timegrid.dt
 
     # overflow here is legal: the guard in the evolve loops handles the fallout
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.broadcast_to(np.asarray(model.drift.value(t, kernel.coords, u), dtype=float), u.shape)
+        f = np.asarray(model.drift.value(t, kernel.coords, u), dtype=float)
+        if f.shape != u.shape:  # a callback may return a scalar or a broadcastable array
+            f = np.broadcast_to(f, u.shape)
         # u* = u + dt*(g - f/(1 + dt*|f|)) + noise, in this order of
         # operations, built in one fresh buffer (f may alias a callback's data)
         u_star = np.abs(f)

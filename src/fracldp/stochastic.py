@@ -24,7 +24,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError
-from .grids import POSITIVE, UNIT, check_ranges
+from .grids import POSITIVE, UNIT, at_least, check_ranges, check_value
 from .grids import array_l2_sq, array_lp_pow, array_seminorm_sq
 from .models import ModelSpec
 from .skeleton import (
@@ -211,8 +211,7 @@ def batch_paths(
     accumulate on the fly in the combined path norm
     sup-L2 + L2-in-time-H^alpha + Lp-in-time-Lp.
     """
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
+    check_value("n_paths", n_paths, at_least(1))
     _check_sde_inputs(model, u0, WienerDriver(model.noise.n_modes, base_seed, stream_offset))
     tg = cfg.timegrid
     grid = model.grid
@@ -510,8 +509,7 @@ def uniform_convergence_experiment(
     eps_arr = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_arr, eps_arr[1:])):
         raise DomainError("eps_list must be strictly decreasing")
-    if not POSITIVE.ok(eta):
-        raise DomainError(f"eta: expected {POSITIVE.expected}, found {eta!r}")
+    check_value("eta", eta, POSITIVE)
     for i, u0 in enumerate(u0_set):
         norm = float(np.sqrt(array_l2_sq(model.grid, u0.values)))
         if radius_bound is not None and norm > radius_bound + 1e-9:

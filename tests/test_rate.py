@@ -7,7 +7,7 @@ import pytest
 
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
 from fracldp.models import ModelSpec
-from fracldp.skeleton import Control, StepKernel, TimeGrid
+from fracldp.skeleton import BlowUpError, Control, StepKernel, TimeGrid, step_once
 from fracldp.zoo import (
     build_model,
     default_initial_datum,
@@ -244,6 +244,31 @@ def test_batched_adjoint_matches_per_step_sweep(name, target):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_forward_sweep_blow_up_names_the_first_non_finite_step():
+    """The sweep checks its state stack once, after the loop; the step it
+    names is the one a per-step check would have stopped at."""
+    model = default_model(standard_grid(points=32))
+    drift = replace(
+        model.drift, form="custom-callback", deriv_callback=None,
+        callback=lambda t, x, u: np.where(np.abs(u) > 3.0, np.inf, u**3 - u),
+    )
+    model = replace(model, drift=drift)
+    tg = TimeGrid(1.0, 16)
+    kernel = StepKernel.build(model, tg)
+    u0 = default_initial_datum(model.grid)
+    weights = tg.dt * 40.0 * np.ones((tg.n_steps, model.noise.n_modes))
+    u, ref_step = u0.values, None
+    for n, t in enumerate(tg.times()[:-1]):
+        u, _ = step_once(kernel, t, u, weights[n])
+        if not np.all(np.isfinite(u)):
+            ref_step = n + 1
+            break
+    assert ref_step is not None and 1 < ref_step < tg.n_steps
+    with pytest.raises(BlowUpError) as err:
+        rate._forward_states(model, kernel, u0, weights)
+    assert err.value.step == ref_step
+
+
 def test_adjoint_gradient_time_dependent_callbacks():
     """Callbacks take a scalar t: each step's factors must use its own t_n."""
     model = _time_dependent_callback_model()
@@ -256,17 +281,24 @@ def test_adjoint_gradient_time_dependent_callbacks():
 # rate minimization
 
 
-def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch):
-    """Residuals come from the sweeps L-BFGS already ran: an exact-gradient
-    endpoint solve sweeps once per objective evaluation, plus the start."""
+@pytest.mark.parametrize("solve", ["endpoint", "outside"])
+def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch, solve):
+    """Residuals, the outside-mode singular check and the first evaluation of
+    each continuation read the states of sweeps already run: a solve sweeps at
+    most once per objective evaluation plus the start, and never sweeps the
+    weights of the previous sweep again. The outside solve is warm-started
+    off the reference path, so its start is checked but not nudged."""
     model, u0, tg = setup
     assert rate._has_exact_gradients(model)
-    counts = {"sweeps": 0, "evals": 0, "continuations": 0}
+    counts = {"sweeps": 0, "repeats": 0, "evals": 0, "continuations": 0}
+    last = [None]
     forward, minimize = rate._forward_states, rate.optimize.minimize
 
-    def counted_forward(*args):
+    def counted_forward(model, kernel, u0, weights):
         counts["sweeps"] += 1
-        return forward(*args)
+        counts["repeats"] += weights.tobytes() == last[0]
+        last[0] = weights.tobytes()
+        return forward(model, kernel, u0, weights)
 
     def counted_minimize(fun, x0, **kwargs):
         def counted_fun(z):
@@ -278,11 +310,18 @@ def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch):
 
     monkeypatch.setattr(rate, "_forward_states", counted_forward)
     monkeypatch.setattr(rate.optimize, "minimize", counted_minimize)
-    v_true = Control(tg, 0.6 * np.random.default_rng(11).standard_normal((tg.n_steps, model.noise.n_modes)))
-    endpoint = Field(model.grid, g0_map(model, u0, v_true, tg)[-1])
-    res = minimize_rate(model, RateQuery(u0=u0, target_endpoint=endpoint, tau_end=1e-3), tg)
+    rng = np.random.default_rng(11)
+    if solve == "endpoint":
+        v_true = Control(tg, 0.6 * rng.standard_normal((tg.n_steps, model.noise.n_modes)))
+        endpoint = Field(model.grid, g0_map(model, u0, v_true, tg)[-1])
+        res = minimize_rate(model, RateQuery(u0=u0, target_endpoint=endpoint, tau_end=1e-3), tg)
+    else:
+        phi0 = g0_map(model, u0, Control.zero(tg, model.noise.n_modes), tg)
+        start = Control(tg, 0.05 * rng.standard_normal((tg.n_steps, model.noise.n_modes)))
+        res = constrained_rate_minimum(model, u0, phi0, 0.05, "outside", tg, warm_start=start)
     assert res.converged and counts["continuations"] >= 2
     assert counts["sweeps"] <= counts["evals"] + 1
+    assert counts["repeats"] == 0
 
 
 def test_noise_free_path_has_zero_rate_all_zoo_models():
@@ -400,8 +439,12 @@ def test_level_set_rejects_over_budget_member(setup):
 
 def test_level_set_negative_level_rejected(setup):
     model, u0, tg = setup
-    with pytest.raises(DomainError):
-        sample_level_set(model, u0, -0.5, 4, tg)
+    for s in (-0.5, np.nan, np.inf):
+        with pytest.raises(DomainError, match="s:"):
+            sample_level_set(model, u0, s, 4, tg)
+    for n_samples in (0, 2.5, True):
+        with pytest.raises(DomainError, match="n_samples"):
+            sample_level_set(model, u0, 0.5, n_samples, tg)
 
 
 def test_level_set_reproducible(setup):

@@ -1,6 +1,8 @@
 """Tests for the deterministic controlled solver: exactness oracles,
 convergence order, energy bounds, and the path-space experiments."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,30 @@ def test_step_once_matches_complex_fft_reference(dim, points):
     half = ref_hat[..., : points // 2 + 1]
     assert hat.shape == half.shape
     assert np.max(np.abs(hat - half)) <= 1e-12 * np.max(np.abs(half))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "profile"])
+def test_step_once_broadcast_drift_matches_full_shape_bit_for_bit(kind):
+    """A drift callback may return a scalar or an array that broadcasts to the
+    batch; the step then equals the same drift returned at full shape."""
+    grid = zoo.standard_grid(points=32)
+    model = zoo.build_model(grid)
+    x = grid.coords()[0]
+    short = {"scalar": lambda t, c, u: 0.3, "profile": lambda t, c, u: 0.3 * np.cos(x)}[kind]
+
+    def full(t, c, u):
+        return np.broadcast_to(short(t, c, u), u.shape).copy()
+
+    tg = TimeGrid(horizon=0.5, n_steps=8)
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((5, *grid.shape))
+    w = 0.3 * rng.standard_normal((5, model.noise.n_modes))
+    (u_short, hat_short), (u_full, hat_full) = [
+        step_once(StepKernel.build(dataclasses.replace(
+            model, drift=dataclasses.replace(model.drift, form="custom-callback", callback=cb)), tg), 0.125, u, w)
+        for cb in (short, full)
+    ]
+    assert np.array_equal(u_short, u_full) and np.array_equal(hat_short, hat_full)
 
 
 def test_cubic_drift_matches_float_pow():

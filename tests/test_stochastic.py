@@ -147,6 +147,9 @@ def test_simulate_input_validation(default_setup):
     with pytest.raises(GridMismatchError):
         simulate_sde(m, u0, cfg, WienerDriver(m.noise.n_modes, 0),
                      shift=Control.zero(TimeGrid(0.5, 10), m.noise.n_modes))
+    for n_paths in (0, 2.5, np.nan, True):
+        with pytest.raises(DomainError, match="n_paths"):
+            batch_paths(m, u0, cfg, n_paths, base_seed=0)
 
 
 # ---------------------------------------------------------------------------
