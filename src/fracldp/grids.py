@@ -59,6 +59,12 @@ def at_least(n: int) -> Range:
 
 
 POSITIVE = Range(lambda v: is_num(v) and v > 0, "float > 0")
+POSITIVE_OR_INF = Range(
+    lambda v: isinstance(v, Real) and not isinstance(v, bool) and v > 0, "float > 0 or inf"
+)
+NON_NEGATIVE_OR_INF = Range(
+    lambda v: isinstance(v, Real) and not isinstance(v, bool) and v >= 0, "float >= 0 or inf"
+)
 NON_NEGATIVE = Range(lambda v: is_num(v) and v >= 0, "float >= 0")
 UNIT = Range(lambda v: is_num(v) and 0 < v <= 1, "float in (0, 1]")
 EPS_LADDER = Range(

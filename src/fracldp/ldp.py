@@ -34,11 +34,13 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError, l2_norm
-from .grids import EPS_LADDER, NON_NEGATIVE, POSITIVE, Range, at_least, check_ranges
+from .grids import EPS_LADDER, NON_NEGATIVE, NON_NEGATIVE_OR_INF, POSITIVE, Range
+from .grids import at_least, check_ranges, check_value
 from .models import ModelSpec
-from .rate import RateResult, g0_map, sample_level_set
+from .rate import BALL_RADIUS, RateResult, g0_map, level_set_controls, sample_level_set
 from .skeleton import Control, TimeGrid
 from .stochastic import (
+    DIST_KINDS,
     EstimationError,
     SdeConfig,
     batch_paths,
@@ -80,6 +82,7 @@ class LdpExperimentPlan:
             "list of floats >= 0",
         ),
         "n_paths": at_least(100),
+        "path_norm": DIST_KINDS,
         "slack": POSITIVE,
         "linf_guard": POSITIVE,
     }
@@ -126,34 +129,22 @@ class LdpReport:
         yield from self.records
 
 
-def _select_dists(summaries, which: str) -> np.ndarray:
-    if which == "combined":
-        rows = [s.dists for s in summaries]
-    elif which == "l2rms":
-        rows = [s.dists_l2rms for s in summaries]
-    elif which == "terminal":
-        rows = [s.dists_terminal for s in summaries]
-    else:
-        raise DomainError(f"unknown distance selector {which!r}")
-    return np.vstack([np.atleast_1d(r) for r in rows])
-
-
 def _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, references, which):
-    """One Monte Carlo cell: (n_paths, n_refs) distances and the blown-path count.
+    """One Monte Carlo cell: (n_paths, n_refs) ``which`` distances and blown-path count.
 
     Blown-up paths carry infinite distance; a cell where every path blew up
     has no event frequency to report.
     """
     sums = batch_paths(
         model, u0, cfg, n_paths, base_seed,
-        stream_offset=stream_offset, references=references,
+        stream_offset=stream_offset, references=references, which=which,
     )
     blown = sum(1 for s in sums if s.blow_step is not None)
     if blown == n_paths:
         raise EstimationError(
             f"every path blew up at eps={cfg.epsilon} (streams from {stream_offset})"
         )
-    return _select_dists(sums, which), blown
+    return np.vstack([s.dists for s in sums]), blown
 
 
 def _campaign(plan: LdpExperimentPlan, refs_by_datum, base_seed: int, which: str):
@@ -198,13 +189,10 @@ def estimate_ball_probability(
     two fractions add to exactly 1 (shared paths, complementary events).
     Blown-up paths carry infinite distance, hence never lie inside a ball.
     """
-    if delta < 0:
-        raise DomainError("delta must be non-negative")
+    check_value("delta", delta, NON_NEGATIVE_OR_INF)
     if side not in ("inside", "outside"):
         raise DomainError(f"side must be 'inside' or 'outside', got {side!r}")
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (timegrid.n_steps + 1, *model.grid.shape):
-        raise GridMismatchError("reference trajectory shape mismatch")
     cfg = SdeConfig(epsilon=epsilon, timegrid=timegrid, linf_guard=linf_guard)
     dmat, _ = _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, [phi], which)
     d = dmat[:, 0]
@@ -327,9 +315,7 @@ def fw_bounds_experiment(
     # shared spadework: per datum the target paths G0(u0, v), then per level
     # the sampled level set, paired across data through one control draw
     level_controls = [
-        sample_level_set(
-            model, plan.initial_data[0], s, n_level_samples, tg, seed=level_seed + k
-        ).controls
+        level_set_controls(model, s, n_level_samples, tg, seed=level_seed + k)
         for k, s in enumerate(plan.s_levels)
     ]
     refs_by_datum = []
@@ -409,10 +395,8 @@ class PathSetSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("open-ball", "closed-complement"):
             raise DomainError(f"unknown set kind {self.kind!r}")
-        if not self.radius > 0:
-            raise DomainError("set radius must be positive")
-        if self.kind == "closed-complement" and not np.isfinite(self.radius):
-            raise DomainError("complement of an infinite ball is empty")
+        side = "inside" if self.kind == "open-ball" else "outside"
+        check_value("radius", self.radius, BALL_RADIUS[side])
 
 
 def dz_bounds_experiment(

@@ -867,6 +867,6 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
 
     q_hi = 1.0 + p / 2.0
     checks.append(
-        ConditionCheck("exponent-range", float(min(q - 2.0, q_hi - q)), 2.0 - MARGIN_TOL <= q <= q_hi + 1e-12, 1)
+        ConditionCheck("exponent-range", float(min(q - 2.0, q_hi - q)), noise_exponent_range(p).ok(q), 1)
     )
     return ValidationReport(checks=checks, constants=constants, certificates={})

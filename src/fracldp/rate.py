@@ -21,7 +21,6 @@ rate results compose exactly with the skeleton and Monte Carlo modules.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dc_field
 from typing import ClassVar, Optional, Sequence
 
@@ -29,7 +28,7 @@ import numpy as np
 from scipy import optimize
 
 from .grids import DomainError, Field, GridMismatchError, array_l2_sq
-from .grids import NON_NEGATIVE, POSITIVE, at_least, check_ranges, check_value
+from .grids import NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, at_least, check_ranges, check_value
 from .models import ModelSpec
 from .skeleton import (
     BlowUpError,
@@ -38,8 +37,8 @@ from .skeleton import (
     TimeGrid,
     path_distance,
     solve_skeleton,
-    step_once,
 )
+from .skeleton import forward_states as _forward_states
 
 
 class OptimizationError(RuntimeError):
@@ -124,27 +123,10 @@ class RateResult:
         }
 
 
+# radius per side of constrained_rate_minimum: inf is the whole space, whose complement is empty
+BALL_RADIUS = {"inside": POSITIVE_OR_INF, "outside": POSITIVE}
+
 _RETREAT = 1.0e12  # objective value handed to the line search when a probe blows up
-
-
-def _forward_states(model: ModelSpec, kernel: StepKernel, u0: Field, weights: np.ndarray) -> np.ndarray:
-    """All states u_0..u_N of the step recursion (adjoint needs the full sweep).
-
-    ``step_once`` carries non-finite values, so the sweep runs to the end and
-    checks the whole stack once; BlowUpError names the first non-finite step.
-    """
-    tg = kernel.timegrid
-    states = np.empty((tg.n_steps + 1, *model.grid.shape))
-    states[0] = u0.values
-    u = u0.values
-    ts = tg.times()
-    for n in range(tg.n_steps):
-        u, _ = step_once(kernel, ts[n], u, weights[n])
-        states[n + 1] = u
-    finite = np.isfinite(states[1:].reshape(tg.n_steps, -1)).all(axis=1)
-    if not finite.all():
-        raise BlowUpError(int(np.argmin(finite)) + 1, float("inf"))
-    return states
 
 
 def _apply_propagator(kernel: StepKernel, lam: np.ndarray) -> np.ndarray:
@@ -197,8 +179,7 @@ def _hinge_penalty(grid, tg, phi_ref, radius, mode):
     (dist too big) and -1 outside (dist too small); they are left zero where
     the gap is zero and on the reference itself, where dist has no gradient.
     """
-    tw = np.full(tg.n_steps + 1, tg.dt)
-    tw[0] = tw[-1] = 0.5 * tg.dt
+    tw = tg.trapezoid_weights()
     sgn = 1.0 if mode == "inside" else -1.0
 
     def dist(states):
@@ -294,8 +275,9 @@ def _objective_and_grad(model, kernel, states_at, flat_v, mu, penalty, exact=Tru
     """J_mu(v) = action(v) + mu pen(u_v) and its gradient, from one forward sweep.
 
     ``states_at(weights)`` returns the forward states u_0..u_N at the mode
-    weights dt v, from a ``_forward_states`` sweep or a memo of one, and
-    raises BlowUpError when the sweep leaves the finite range.
+    weights dt v, from a ``_forward_states`` sweep (``skeleton.forward_states``
+    with no guard) or a memo of one, and raises BlowUpError when the sweep
+    leaves the finite range.
     ``penalty(states, mu) -> (mu pen, dpen, residual)`` reads those states:
     ``dpen`` is d(mu pen)/d(states), and the residual is the constraint
     violation the continuation drives below its tolerance, the same at every
@@ -378,7 +360,7 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
         key = weights.tobytes()
         if memo[0] != key:
             try:
-                states = _forward_states(model, kernel, u0, weights)
+                states, _ = _forward_states(model, kernel, u0, weights)
                 states.setflags(write=False)  # every reader shares it
             except BlowUpError as exc:
                 states = exc
@@ -515,7 +497,10 @@ def check_gradient(
     kernel = StepKernel.build(model, tg)
     v = scale * rng.standard_normal(tg.n_steps * model.noise.n_modes)
     penalty = _path_penalty(model.grid, tg, g0_map(model, u0, Control.zero(tg, model.noise.n_modes)))
-    sweep = functools.partial(_forward_states, model, kernel, u0)
+
+    def sweep(weights):
+        return _forward_states(model, kernel, u0, weights)[0]
+
     _, grad = _objective_and_grad(model, kernel, sweep, v, 5.0, penalty)
     num = np.empty_like(v)
     h = 1e-6
@@ -556,6 +541,33 @@ class LevelSet:
         return len(self.controls)
 
 
+def level_set_controls(
+    model: ModelSpec, s: float, n_samples: int, tg: TimeGrid, seed: int = 0
+) -> list[Control]:
+    """Controls uniform on the action ball {action <= s}.
+
+    In the flattened coefficient space the set is the ball of radius
+    sqrt(2 s / dt), sampled as a Gaussian direction times radius * U^(1/d).
+    s = 0 degenerates to the single zero control.
+    """
+    check_value("s", s, NON_NEGATIVE)
+    check_value("n_samples", n_samples, at_least(1))
+    if s == 0.0:
+        return [Control.zero(tg, model.noise.n_modes)]
+    dim = tg.n_steps * model.noise.n_modes
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
+    )
+    radius = np.sqrt(2.0 * s / tg.dt)
+    controls = []
+    for _ in range(n_samples):
+        direction = rng.standard_normal(dim)
+        direction /= np.linalg.norm(direction)
+        r = radius * rng.uniform() ** (1.0 / dim)
+        controls.append(Control(tg, (r * direction).reshape(tg.n_steps, model.noise.n_modes)))
+    return controls
+
+
 def sample_level_set(
     model: ModelSpec,
     u0: Field,
@@ -565,33 +577,14 @@ def sample_level_set(
     seed: int = 0,
     controls: Optional[Sequence[Control]] = None,
 ) -> LevelSet:
-    """Uniform action-ball sample mapped through the solution operator.
+    """``level_set_controls`` mapped through the solution operator.
 
-    Controls are uniform on {action <= s}: in the flattened coefficient space
-    the set is the ball of radius sqrt(2 s / dt), sampled as a Gaussian
-    direction times radius * U^(1/d). s = 0 degenerates to the single zero
-    control. Passing ``controls`` overrides sampling (paired experiments reuse
-    one draw across data).
+    Passing ``controls`` overrides sampling (paired experiments reuse one draw
+    across data).
     """
     check_value("s", s, NON_NEGATIVE)
     if controls is None:
-        check_value("n_samples", n_samples, at_least(1))
-        dim = tg.n_steps * model.noise.n_modes
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
-        )
-        if s == 0.0:
-            controls = [Control.zero(tg, model.noise.n_modes)]
-        else:
-            radius = np.sqrt(2.0 * s / tg.dt)
-            controls = []
-            for _ in range(n_samples):
-                direction = rng.standard_normal(dim)
-                direction /= np.linalg.norm(direction)
-                r = radius * rng.uniform() ** (1.0 / dim)
-                controls.append(
-                    Control(tg, (r * direction).reshape(tg.n_steps, model.noise.n_modes))
-                )
+        controls = level_set_controls(model, s, n_samples, tg, seed)
     trajectories = [solve_skeleton(model, u0, c, tg).trajectory for c in controls]
     return LevelSet(
         u0=u0, s=s, controls=list(controls), trajectories=trajectories, timegrid=tg
@@ -703,12 +696,13 @@ def constrained_rate_minimum(
     constraint enters as a doubled hinge penalty: inside mode penalizes
     max(0, dist - 0.95 radius)^2, outside mode max(0, 1.05 radius - dist)^2 —
     the 5% interior margin keeps minimizers strictly off the boundary so
-    membership survives sampling and discretization jitter.
+    membership survives sampling and discretization jitter. ``radius`` is
+    checked against ``BALL_RADIUS[mode]``: inside mode takes inf (the whole
+    space), outside mode only finite radii.
     """
-    if mode not in ("inside", "outside"):
+    if mode not in BALL_RADIUS:
         raise DomainError(f"mode must be 'inside' or 'outside', got {mode!r}")
-    if radius <= 0:
-        raise DomainError("radius must be positive")
+    check_value("radius", radius, BALL_RADIUS[mode])
     st = settings or OptimizerSettings()
     kernel = StepKernel.build(model, tg)
     n_modes = model.noise.n_modes

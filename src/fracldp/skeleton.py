@@ -5,8 +5,9 @@ The controlled equation on the torus is
     du/dt = -(-Delta)^alpha u - F(t, x, u) + g(t) + sigma(t, u) v(t),
 
 with a piecewise-constant-in-time control v valued in the mode space R^K.
-The integrator is the shared IMEX step used by the stochastic module too:
-explicit tamed drift and mode forcing, then the exact per-mode integrating
+The integrator is the IMEX step ``step_once``, run by two loops: the dense
+sweep ``forward_states`` here and the batched ``stochastic.batch_paths``. It
+is explicit tamed drift and mode forcing, then the exact per-mode integrating
 factor of the fractional heat semigroup,
 
     u* = u_n + dt*(g - F/(1 + dt*|F|)) + sigma(t_n, u_n) w_n,
@@ -72,6 +73,12 @@ class TimeGrid:
 
     def midpoints(self) -> np.ndarray:
         return self.dt * (np.arange(self.n_steps) + 0.5)
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """Trapezoid-rule weights of the step grid: dt inside, dt/2 at both ends."""
+        tw = np.full(self.n_steps + 1, self.dt)
+        tw[0] = tw[-1] = 0.5 * self.dt
+        return tw
 
 
 class Control:
@@ -167,17 +174,18 @@ class StepKernel:
 def step_once(kernel: StepKernel, t: float, u: np.ndarray, w: np.ndarray):
     """One IMEX step; ``u`` may carry leading batch axes, ``w`` is (*batch, K).
 
-    This is the only IMEX step: ``batch_paths``, ``evolve_dense`` and the rate
-    forward sweep all call it, so its per-call overhead is paid on every step
-    of every caller. The explicit update goes through ``rfftn``, the
-    half-spectrum propagator and ``irfftn``. Returns (u_next, hat): ``hat`` is
-    the ``rfftn`` of u_next over the spatial axes, shape
-    (*batch, *grid.shape[:-1], N//2 + 1), reused for the spectral diagnostics.
+    This is the only IMEX step, called from two loops: the dense sweep
+    ``forward_states`` and the batched ``stochastic.batch_paths``. Its
+    per-call overhead is paid on every step of every caller. The explicit
+    update goes through ``rfftn``, the half-spectrum propagator and
+    ``irfftn``. Returns (u_next, hat): ``hat`` is the ``rfftn`` of u_next
+    over the spatial axes, shape (*batch, *grid.shape[:-1], N//2 + 1),
+    reused for the spectral diagnostics.
     """
     model = kernel.model
     dt = kernel.timegrid.dt
 
-    # overflow here is legal: the guard in the evolve loops handles the fallout
+    # overflow here is legal: the guards of both loops handle the fallout
     with np.errstate(over="ignore", invalid="ignore"):
         f = np.asarray(model.drift.value(t, kernel.coords, u), dtype=float)
         if f.shape != u.shape:  # a callback may return a scalar or a broadcastable array
@@ -227,43 +235,48 @@ class SkeletonSolution:
             )
 
 
-def evolve_dense(model: ModelSpec, u0: Field, tg: TimeGrid, weights: np.ndarray, guard: float):
-    """Run the step loop storing the full trajectory and energy diagnostics.
+def forward_states(
+    model: ModelSpec, kernel: StepKernel, u0: Field, weights: np.ndarray, guard: float = np.inf
+):
+    """The dense sweep: (states u_0..u_N of one path, the ``rfftn`` of u_1..u_N).
 
-    ``weights`` is the (n_steps, K) array of per-step mode multipliers — dt*v
-    for the deterministic solver, sqrt(eps)*dW (plus the shift) for the SDE
-    drivers, so every consumer shares this exact arithmetic. Returns
-    (trajectory, l2_sq, seminorm_sq, lp_pow); raises BlowUpError past the guard.
+    ``weights`` are the (n_steps, K) mode multipliers: dt*v for the solver and
+    the rate's forward map, sqrt(eps)*dW (plus the shift) for ``simulate_sde``.
+    ``step_once`` carries non-finite values, so the loop runs to the end and
+    checks the stack once: BlowUpError names the first step whose sup norm is
+    non-finite or above ``guard``.
     """
-    kernel = StepKernel.build(model, tg)
-    grid = model.grid
-    p = model.drift.p
-
-    traj = np.empty((tg.n_steps + 1, *grid.shape))
-    l2_sq = np.empty(tg.n_steps + 1)
-    semi_sq = np.empty(tg.n_steps + 1)
-    lp_p = np.empty(tg.n_steps + 1)
-
-    u = u0.values.copy()
-    hat = kernel.rfft(u)
-    traj[0] = u
-    l2_sq[0] = array_l2_sq(grid, u)
-    semi_sq[0] = array_seminorm_sq(grid, kernel.half_multipliers, hat)
-    lp_p[0] = array_lp_pow(grid, u, p)
-
+    tg = kernel.timegrid
+    states = np.empty((tg.n_steps + 1, *model.grid.shape))
+    hats = np.empty((tg.n_steps, *kernel.half_propagator.shape), dtype=complex)
+    states[0] = u = u0.values
     ts = tg.times()
     for n in range(tg.n_steps):
-        u, hat = step_once(kernel, ts[n], u, weights[n])
-        mag = float(np.max(np.abs(u)))
-        if not np.isfinite(mag) or mag > guard:
-            raise BlowUpError(n + 1, mag)
-        traj[n + 1] = u
-        l2_sq[n + 1] = array_l2_sq(grid, u)
-        semi_sq[n + 1] = array_seminorm_sq(grid, kernel.half_multipliers, hat)
-        lp_p[n + 1] = array_lp_pow(grid, u, p)
+        u, hats[n] = step_once(kernel, ts[n], u, weights[n])
+        states[n + 1] = u
+    mags = np.max(np.abs(states[1:].reshape(tg.n_steps, -1)), axis=1)
+    bad = ~np.isfinite(mags) | (mags > guard)
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise BlowUpError(n + 1, float(mags[n]))
+    return states, hats
 
+
+def evolve_dense(
+    model: ModelSpec, u0: Field, tg: TimeGrid, weights: np.ndarray, guard: float
+) -> SkeletonSolution:
+    """``forward_states`` and its energy diagnostics, each reduced once over the
+    stored stacks; raises BlowUpError past the guard."""
+    kernel = StepKernel.build(model, tg)
+    grid, p = model.grid, model.drift.p
+    traj, hats = forward_states(model, kernel, u0, weights, guard)
     traj.setflags(write=False)
-    return traj, l2_sq, semi_sq, lp_p
+    all_hats = np.concatenate([kernel.rfft(u0.values)[None], hats])
+    return SkeletonSolution(
+        grid=grid, timegrid=tg, trajectory=traj, l2_sq=array_l2_sq(grid, traj),
+        halpha_semi_sq=array_seminorm_sq(grid, kernel.half_multipliers, all_hats),
+        lp_p=array_lp_pow(grid, traj, p), p=p,
+    )
 
 
 def solve_skeleton(
@@ -283,11 +296,7 @@ def solve_skeleton(
         raise GridMismatchError(
             f"control has {control.n_modes} modes, model noise has {model.noise.n_modes}"
         )
-    traj, l2_sq, semi_sq, lp_p = evolve_dense(model, u0, tg, tg.dt * control.values, guard)
-    return SkeletonSolution(
-        grid=model.grid, timegrid=tg, trajectory=traj,
-        l2_sq=l2_sq, halpha_semi_sq=semi_sq, lp_p=lp_p, p=model.drift.p,
-    )
+    return evolve_dense(model, u0, tg, tg.dt * control.values, guard)
 
 
 # ---------------------------------------------------------------------------

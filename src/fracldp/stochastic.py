@@ -7,9 +7,10 @@ independent scalar Brownian motions W_k feeding the mode family sigma_k.
     du = [-(-Delta)^alpha u - F(t,x,u) + g(t)] dt + sqrt(eps) sigma(t,u) dW,
 
 and with a ``shift`` control v adds the drift sigma(t,u) v(t) dt (the
-change-of-measure dynamics used by the variational analysis); every path
-funnels through the deterministic module's step kernel, so the eps -> 0 limit
-is the skeleton solver's arithmetic exactly.
+change-of-measure dynamics used by the variational analysis). Every path
+runs the deterministic module's step kernel in one of its two loops: a single
+path in the skeleton solver's dense sweep, a batch in ``batch_paths`` here. So
+the eps -> 0 limit is the skeleton solver's arithmetic exactly.
 
 Streams are counter-based: path ``stream_id`` under base ``seed`` uses
 ``Philox(SeedSequence(entropy=seed, spawn_key=(stream_id,)))``, which makes
@@ -24,7 +25,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError
-from .grids import POSITIVE, UNIT, at_least, check_ranges, check_value
+from .grids import EPS_LADDER, POSITIVE, UNIT, Range, at_least, check_ranges, check_value
 from .grids import array_l2_sq, array_lp_pow, array_seminorm_sq
 from .models import ModelSpec
 from .skeleton import (
@@ -37,7 +38,11 @@ from .skeleton import (
     step_once,
 )
 
-SCHEMES = ("tamed_imex_em",)
+# the distance kinds ``batch_paths`` accumulates to its references
+DIST_KINDS = Range(
+    lambda v: isinstance(v, str) and v in ("combined", "l2rms", "terminal"),
+    "one of 'combined', 'l2rms', 'terminal'",
+)
 
 
 class InsufficientSamplesError(DomainError):
@@ -80,15 +85,12 @@ class WienerDriver:
 class SdeConfig:
     epsilon: float
     timegrid: TimeGrid
-    scheme: str = "tamed_imex_em"
     linf_guard: float = 1.0e6
 
     RANGES: ClassVar[dict] = {"epsilon": UNIT, "linf_guard": POSITIVE}
 
     def __post_init__(self) -> None:
         check_ranges(self)
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
 
 
 @dataclass
@@ -109,13 +111,27 @@ class PathSample:
         return (self.seed, self.stream_id)
 
 
-def _check_sde_inputs(model: ModelSpec, u0: Field, driver: WienerDriver) -> None:
+def _mode_weights(model, u0, cfg, driver, n_paths, shift) -> np.ndarray:
+    """Check the inputs, then draw the (n_paths, n_steps, K) mode weights of the
+    streams from ``driver.stream_id`` on: sqrt(eps) dW, plus dt v for a ``shift`` v."""
     if u0.grid != model.grid:
         raise GridMismatchError("initial datum grid does not match the model")
     if driver.n_modes != model.noise.n_modes:
         raise GridMismatchError(
             f"driver has {driver.n_modes} modes, model noise has {model.noise.n_modes}"
         )
+    tg = cfg.timegrid
+    if shift is not None and shift.timegrid != tg:
+        raise GridMismatchError("shift control lives on a different time grid")
+    if shift is not None and shift.n_modes != driver.n_modes:
+        raise GridMismatchError("shift control mode count does not match the model noise")
+    root = np.sqrt(cfg.epsilon)
+    weights = np.empty((n_paths, tg.n_steps, driver.n_modes))
+    for b in range(n_paths):
+        weights[b] = root * driver.with_stream(driver.stream_id + b).increments(tg)
+    if shift is not None:
+        weights += tg.dt * shift.values
+    return weights
 
 
 def simulate_sde(
@@ -130,21 +146,11 @@ def simulate_sde(
     A ``shift`` control v adds the drift sigma(t,u) v(t) dt, as in
     ``batch_paths``.
     """
-    _check_sde_inputs(model, u0, driver)
-    tg = cfg.timegrid
-    weights = np.sqrt(cfg.epsilon) * driver.increments(tg)
-    if shift is not None:
-        if shift.timegrid != tg:
-            raise GridMismatchError("shift control lives on a different time grid")
-        if shift.n_modes != model.noise.n_modes:
-            raise GridMismatchError("shift control mode count does not match the model noise")
-        weights += tg.dt * shift.values
-    traj, l2_sq, semi_sq, lp_p = evolve_dense(model, u0, tg, weights, cfg.linf_guard)
-    sol = SkeletonSolution(
-        grid=model.grid, timegrid=tg, trajectory=traj,
-        l2_sq=l2_sq, halpha_semi_sq=semi_sq, lp_p=lp_p, p=model.drift.p,
+    weights = _mode_weights(model, u0, cfg, driver, 1, shift)[0]
+    return PathSample(
+        solution=evolve_dense(model, u0, cfg.timegrid, weights, cfg.linf_guard),
+        epsilon=cfg.epsilon, seed=driver.seed, stream_id=driver.stream_id,
     )
-    return PathSample(solution=sol, epsilon=cfg.epsilon, seed=driver.seed, stream_id=driver.stream_id)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +170,8 @@ class PathSummary:
     v_int: float
     lp_int: float
     energy: float
-    dists: np.ndarray  # combined path-norm distance to each reference
+    dists: np.ndarray  # distance to each reference, in the kind batch_paths was asked for
     probe_inner: Optional[float] = None  # <u(T), probe>_L2 when a probe was given
-    dists_l2rms: Optional[np.ndarray] = None  # sqrt((1/T) int ||u-ref||^2 dt) per reference
-    dists_terminal: Optional[np.ndarray] = None  # ||u(T) - ref(T)||_L2 per reference
 
     def as_record(self) -> dict:
         rec = {
@@ -187,6 +191,18 @@ class PathSummary:
         return rec
 
 
+def _accumulate(acc, kernel, w, alive, u, hat) -> None:
+    """Add one time step of ``u`` (``hat`` its ``rfftn``, ``w`` its trapezoid
+    weight) to the path-norm pieces in ``acc``, on live paths only: the running
+    sup of ||u||^2 and the trapezoid sums of ||u||^2 + seminorm^2 and ||u||_p^p."""
+    grid = kernel.model.grid
+    l2_sq = array_l2_sq(grid, u)
+    semi_sq = array_seminorm_sq(grid, kernel.half_multipliers, hat)
+    np.maximum(acc[0], np.where(alive, l2_sq, 0.0), out=acc[0])
+    acc[1] += np.where(alive, w * (l2_sq + semi_sq), 0.0)
+    acc[2] += np.where(alive, w * array_lp_pow(grid, u, kernel.model.drift.p), 0.0)
+
+
 def batch_paths(
     model: ModelSpec,
     u0: Field,
@@ -197,9 +213,12 @@ def batch_paths(
     shift: Optional[Control] = None,
     references: Sequence[np.ndarray] = (),
     probe: Optional[Field] = None,
+    which: str = "combined",
 ) -> list[PathSummary]:
     """Simulate ``n_paths`` streams at once, reducing each to a PathSummary.
 
+    This is the batched one of the two loops around ``step_once`` (the other
+    is the skeleton module's dense sweep, which keeps whole trajectories).
     Drivers are the same per-path counter-based generators ``simulate_sde``
     uses, so a batch is bit-reproducible for a fixed batch size, and each
     member matches the corresponding single-path run to floating-point
@@ -208,128 +227,87 @@ def batch_paths(
     Path blow-ups freeze the offending member at its last finite state, set
     ``blow_step``, and poison its distances with +inf; they never abort the
     batch. Distances to ``references`` (trajectories on the same grids)
-    accumulate on the fly in the combined path norm
-    sup-L2 + L2-in-time-H^alpha + Lp-in-time-Lp.
+    accumulate on the fly, only in the kind ``which`` names: "combined", the
+    path norm sup-L2 + L2-in-time-H^alpha + Lp-in-time-Lp; "l2rms",
+    sqrt((1/T) int ||u - ref||^2 dt); or "terminal", ||u(T) - ref(T)||_L2.
     """
     check_value("n_paths", n_paths, at_least(1))
-    _check_sde_inputs(model, u0, WienerDriver(model.noise.n_modes, base_seed, stream_offset))
+    check_value("which", which, DIST_KINDS)
     tg = cfg.timegrid
     grid = model.grid
-    p = model.drift.p
-    kernel = StepKernel.build(model, tg)
     n_refs = len(references)
     for r in references:
         if r.shape != (tg.n_steps + 1, *grid.shape):
             raise GridMismatchError("reference trajectory shape mismatch")
-
-    root = np.sqrt(cfg.epsilon)
-    weights = np.empty((n_paths, tg.n_steps, model.noise.n_modes))
-    for b in range(n_paths):
-        drv = WienerDriver(model.noise.n_modes, base_seed, stream_offset + b)
-        weights[b] = root * drv.increments(tg)
-    if shift is not None:
-        if shift.timegrid != tg:
-            raise GridMismatchError("shift control lives on a different time grid")
-        weights += tg.dt * shift.values[None]
+    if probe is not None and probe.grid != grid:
+        raise GridMismatchError("probe field lives on a different grid")
+    driver = WienerDriver(model.noise.n_modes, base_seed, stream_offset)
+    weights = _mode_weights(model, u0, cfg, driver, n_paths, shift)
+    kernel = StepKernel.build(model, tg)
 
     ts = tg.times()
-    # trapezoid weights for time integrals on the step grid
-    tw = np.full(tg.n_steps + 1, tg.dt)
-    tw[0] = tw[-1] = 0.5 * tg.dt
-
+    tw = tg.trapezoid_weights()
     u = np.broadcast_to(u0.values, (n_paths, *grid.shape)).copy()
     hat = kernel.rfft(u)
-    ref_hats = [kernel.rfft(r) for r in references]
-    half_mult = kernel.half_multipliers
-
-    l2_sq = array_l2_sq(grid, u)
-    semi_sq = array_seminorm_sq(grid, half_mult, hat)
-    lp_pow = array_lp_pow(grid, u, p)
-    sup_l2_sq = l2_sq.copy()
-    v_acc = tw[0] * (l2_sq + semi_sq)
-    lp_acc = tw[0] * lp_pow
-
-    # per-reference accumulators of the path-norm pieces (plus the smooth
-    # time-averaged L2 distance used by ball-constrained rate comparisons)
-    d_sup_sq = np.zeros((n_paths, n_refs))
-    d_v_acc = np.zeros((n_paths, n_refs))
-    d_lp_acc = np.zeros((n_paths, n_refs))
-    d_l2_acc = np.zeros((n_paths, n_refs))
-    for j in range(n_refs):
-        diff = u - references[j][0]
-        dl2 = array_l2_sq(grid, diff)
-        d_sup_sq[:, j] = dl2
-        d_v_acc[:, j] = tw[0] * (dl2 + array_seminorm_sq(grid, half_mult, hat - ref_hats[j][0]))
-        d_lp_acc[:, j] = tw[0] * array_lp_pow(grid, diff, p)
-        d_l2_acc[:, j] = tw[0] * dl2
-
+    ref_hats = [kernel.rfft(r) for r in references] if which == "combined" else []
+    acc = np.zeros((3, n_paths))  # the path's own norm pieces: its energy
+    ref_acc = np.zeros((3, n_paths, n_refs) if which == "combined" else (n_paths, n_refs))
     blow_step = np.zeros(n_paths, dtype=int)  # 0 = alive
-    for n in range(tg.n_steps):
-        u_next, hat_next = step_once(kernel, ts[n], u, weights[:, n])
-        mags = np.max(np.abs(u_next.reshape(n_paths, -1)), axis=1)
-        bad = (~np.isfinite(mags)) | (mags > cfg.linf_guard)
-        newly = bad & (blow_step == 0)
-        if np.any(newly):
-            blow_step[newly] = n + 1
-        alive = blow_step == 0
-        if alive.all():
-            u, hat = u_next, hat_next
-        else:
-            # frozen members keep their last finite state
-            alive_mask = alive.reshape((-1,) + (1,) * grid.dim)
-            u = np.where(alive_mask, u_next, u)
-            hat = np.where(alive_mask, hat_next, hat)
+    alive = blow_step == 0
+    for k in range(tg.n_steps + 1):
+        if k:
+            u_next, hat_next = step_once(kernel, ts[k - 1], u, weights[:, k - 1])
+            mags = np.max(np.abs(u_next.reshape(n_paths, -1)), axis=1)
+            bad = (~np.isfinite(mags)) | (mags > cfg.linf_guard)
+            blow_step[bad & alive] = k
+            alive = blow_step == 0
+            if alive.all():
+                u, hat = u_next, hat_next
+            else:
+                # frozen members keep their last finite state
+                alive_mask = alive.reshape((-1,) + (1,) * grid.dim)
+                u = np.where(alive_mask, u_next, u)
+                hat = np.where(alive_mask, hat_next, hat)
+        _accumulate(acc, kernel, tw[k], alive, u, hat)
+        for j, ref in enumerate(references):
+            if which == "combined":
+                diff_hat = hat - ref_hats[j][k]
+                _accumulate(ref_acc[:, :, j], kernel, tw[k], alive, u - ref[k], diff_hat)
+            elif which == "l2rms":
+                ref_acc[:, j] += np.where(alive, tw[k] * array_l2_sq(grid, u - ref[k]), 0.0)
 
-        l2_sq = array_l2_sq(grid, u)
-        semi_sq = array_seminorm_sq(grid, half_mult, hat)
-        lp_pow = array_lp_pow(grid, u, p)
-        np.maximum(sup_l2_sq, np.where(alive, l2_sq, sup_l2_sq), out=sup_l2_sq)
-        w = tw[n + 1] if n + 1 < tg.n_steps else tw[-1]
-        v_acc += np.where(alive, w * (l2_sq + semi_sq), 0.0)
-        lp_acc += np.where(alive, w * lp_pow, 0.0)
-        for j in range(n_refs):
-            diff = u - references[j][n + 1]
-            dl2 = array_l2_sq(grid, diff)
-            np.maximum(d_sup_sq[:, j], np.where(alive, dl2, 0.0), out=d_sup_sq[:, j])
-            dsemi = array_seminorm_sq(grid, half_mult, hat - ref_hats[j][n + 1])
-            d_v_acc[:, j] += np.where(alive, w * (dl2 + dsemi), 0.0)
-            d_lp_acc[:, j] += np.where(alive, w * array_lp_pow(grid, diff, p), 0.0)
-            d_l2_acc[:, j] += np.where(alive, w * dl2, 0.0)
-
+    if which == "combined":
+        dists = np.sqrt(ref_acc[0]) + np.sqrt(ref_acc[1]) + ref_acc[2] ** (1.0 / model.drift.p)
+    elif which == "l2rms":
+        dists = np.sqrt(ref_acc / tg.horizon)
+    else:
+        dists = np.empty((n_paths, n_refs))
+        for j, ref in enumerate(references):
+            dists[:, j] = np.sqrt(array_l2_sq(grid, u - ref[-1]))
+    dists[~alive] = np.inf
+    terminal_l2 = np.sqrt(array_l2_sq(grid, u))
     terminal_mean = np.mean(u.reshape(n_paths, -1), axis=1)
-    dists = np.sqrt(d_sup_sq) + np.sqrt(d_v_acc) + d_lp_acc ** (1.0 / p)
-    dists_rms = np.sqrt(d_l2_acc / tg.horizon)
-    d_term = np.empty((n_paths, n_refs))
-    for j in range(n_refs):
-        d_term[:, j] = np.sqrt(array_l2_sq(grid, u - references[j][-1]))
-    energy = sup_l2_sq + v_acc + lp_acc
+    energy = acc[0] + acc[1] + acc[2]
+    energy[~alive] = np.inf
     probe_inner = None
     if probe is not None:
-        if probe.grid != grid:
-            raise GridMismatchError("probe field lives on a different grid")
         probe_inner = grid.cell_volume * (u.reshape(n_paths, -1) @ probe.values.reshape(-1))
-
-    out = []
-    for b in range(n_paths):
-        blown = int(blow_step[b]) or None
-        out.append(
-            PathSummary(
-                stream_id=stream_offset + b,
-                epsilon=cfg.epsilon,
-                blow_step=blown,
-                sup_l2=float(np.sqrt(sup_l2_sq[b])),
-                terminal_l2=float(np.sqrt(l2_sq[b])),
-                terminal_mean=float(terminal_mean[b]),
-                v_int=float(v_acc[b]),
-                lp_int=float(lp_acc[b]),
-                energy=float(energy[b]) if blown is None else float("inf"),
-                dists=(np.full(n_refs, np.inf) if blown is not None else dists[b]),
-                probe_inner=(None if probe_inner is None else float(probe_inner[b])),
-                dists_l2rms=(np.full(n_refs, np.inf) if blown is not None else dists_rms[b]),
-                dists_terminal=(np.full(n_refs, np.inf) if blown is not None else d_term[b]),
-            )
+    return [
+        PathSummary(
+            stream_id=stream_offset + b,
+            epsilon=cfg.epsilon,
+            blow_step=int(blow_step[b]) or None,
+            sup_l2=float(np.sqrt(acc[0, b])),
+            terminal_l2=float(terminal_l2[b]),
+            terminal_mean=float(terminal_mean[b]),
+            v_int=float(acc[1, b]),
+            lp_int=float(acc[2, b]),
+            energy=float(energy[b]),
+            dists=dists[b],
+            probe_inner=None if probe is None else float(probe_inner[b]),
         )
-    return out
+        for b in range(n_paths)
+    ]
 
 
 def blow_fraction(summaries: Sequence[PathSummary]) -> float:
@@ -507,8 +485,7 @@ def uniform_convergence_experiment(
     if not u0_set or not v_set:
         raise DomainError("u0_set and v_set must be non-empty")
     eps_arr = [float(e) for e in eps_list]
-    if any(e2 >= e1 for e1, e2 in zip(eps_arr, eps_arr[1:])):
-        raise DomainError("eps_list must be strictly decreasing")
+    check_value("eps_list", eps_arr, EPS_LADDER)
     check_value("eta", eta, POSITIVE)
     for i, u0 in enumerate(u0_set):
         norm = float(np.sqrt(array_l2_sq(model.grid, u0.values)))

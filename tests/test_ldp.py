@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from fracldp import skeleton, stochastic
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
 from fracldp.ldp import (
     DependencyError,
@@ -115,6 +116,8 @@ def test_plan_rejects_bad_scalars(lab):
         make_plan(lab, linf_guard=0.0)
     with pytest.raises(DomainError):
         make_plan(lab, initial_data=())
+    with pytest.raises(DomainError):
+        make_plan(lab, path_norm="sup")
 
 
 def test_plan_rejects_foreign_grid(lab):
@@ -209,11 +212,19 @@ def test_ball_probability_reproducible(lab):
     assert a == b
 
 
-def test_ball_probability_validation(lab):
+def test_ball_probability_validation(lab, monkeypatch):
     model, grid, tg, u0 = lab["model"], lab["grid"], lab["tg"], lab["u0"]
     phi = zero_reference(grid)
+
+    def no_paths(*args):
+        raise AssertionError("a path was simulated before the arguments were checked")
+
+    # every rejection below must come before any noise is drawn
+    monkeypatch.setattr(stochastic.WienerDriver, "increments", no_paths)
     with pytest.raises(DomainError):
         estimate_ball_probability(model, u0, phi, -0.1, 0.2, 200, 0, tg)
+    with pytest.raises(DomainError):  # NaN would make inside + outside = 0
+        estimate_ball_probability(model, u0, phi, np.nan, 0.2, 200, 0, tg)
     with pytest.raises(GridMismatchError):
         estimate_ball_probability(model, u0, phi[:-1], 0.3, 0.2, 200, 0, tg)
     with pytest.raises(DomainError):
@@ -441,6 +452,9 @@ def test_dz_validation(lab, dz_lab):
         PathSetSpec(name="x", reference=dz_lab["ref"], radius=0.5, kind="open")
     with pytest.raises(DomainError):
         PathSetSpec(name="x", reference=dz_lab["ref"], radius=-1.0, kind="open-ball")
+    for kind in ("open-ball", "closed-complement"):
+        with pytest.raises(DomainError):
+            PathSetSpec(name="x", reference=dz_lab["ref"], radius=np.nan, kind=kind)
     with pytest.raises(DomainError):
         PathSetSpec(name="x", reference=dz_lab["ref"], radius=np.inf,
                     kind="closed-complement")
@@ -526,3 +540,20 @@ def test_fw_counts_blown_paths(lab):
     tight, loose = blown(0.55), blown(0.6)
     assert 0 < loose <= tight < 2 * 200
     assert blown(1.0e6) == 0
+
+
+def test_fw_sweeps_each_reference_once(lab, monkeypatch):
+    """The level-set controls are drawn once, not mapped on a datum first, so
+    an fw run runs one dense sweep per datum and target path or level member."""
+    sweeps = []
+    forward = skeleton.forward_states
+
+    def counted(*args, **kwargs):
+        sweeps.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(skeleton, "forward_states", counted)
+    plan = make_plan(lab, n_paths=100, eps_list=(0.5,), s_levels=(0.2, 0.0))
+    fw_bounds_experiment(plan, [lab["control"]], lab["rates"], base_seed=3, n_level_samples=5)
+    # one target control, 5 members at s = 0.2, the zero control at s = 0
+    assert len(sweeps) == len(lab["data"]) * (1 + 5 + 1)

@@ -1,5 +1,7 @@
 """Tests for the drift/noise/forcing model layer and the condition validators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,6 +378,15 @@ def test_validate_noise_flags_wide_kappa():
     )
     rep = validate_noise(noise, 4.0, PLAN)
     assert not rep.check("kappa-support").passed
+
+
+def test_validate_noise_exponent_range_is_the_model_rule():
+    """The exponent-range check reads the rule ModelSpec enforces, q <= 1 + p/2
+    with no slack: at p = 4 the edge q = 3 passes and q = 3 + 5e-13 fails."""
+    base = zoo.build_model().noise
+    for q, inside in ((3.0, True), (3.0 + 5e-13, False)):
+        rep = validate_noise(dataclasses.replace(base, q=q), 4.0, PLAN)
+        assert rep.check("exponent-range").passed == inside
 
 
 def test_validate_noise_flags_overclaimed_growth():

@@ -228,7 +228,7 @@ def test_batched_adjoint_matches_per_step_sweep(name, target):
     u0 = default_initial_datum(grid)
     rng = np.random.default_rng(2)
     weights = tg.dt * 0.5 * rng.standard_normal((tg.n_steps, model.noise.n_modes))
-    states = rate._forward_states(model, kernel, u0, weights)
+    states, _ = rate._forward_states(model, kernel, u0, weights)
     ref_path = states + 0.1 * rng.standard_normal(states.shape)
     if target == "endpoint":
         penalty = rate._endpoint_penalty(grid, ref_path[-1])
@@ -595,6 +595,13 @@ def test_constrained_validation(setup):
         constrained_rate_minimum(model, u0, phi0, 0.1, "within", tg)
     with pytest.raises(DomainError):
         constrained_rate_minimum(model, u0, phi0, -0.1, "inside", tg)
+    for mode in ("inside", "outside"):
+        with pytest.raises(DomainError):
+            constrained_rate_minimum(model, u0, phi0, np.nan, mode, tg)
+    with pytest.raises(DomainError):  # the complement of an infinite ball is empty
+        constrained_rate_minimum(model, u0, phi0, np.inf, "outside", tg)
+    whole = constrained_rate_minimum(model, u0, phi0, np.inf, "inside", tg)
+    assert whole.converged and whole.value == 0.0
     with pytest.raises(GridMismatchError):
         constrained_rate_minimum(model, u0, phi0[:-1], 0.1, "inside", tg)
 

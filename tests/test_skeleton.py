@@ -13,6 +13,8 @@ from fracldp.grids import (
     GridMismatchError,
     GridSpec,
     array_l2_sq,
+    array_lp_pow,
+    array_seminorm_sq,
     fractional_symbol,
 )
 from fracldp.models import DriftSpec
@@ -222,6 +224,60 @@ def test_blow_up_guard_raises_with_step_index():
         solve_skeleton(m, big, Control.zero(TimeGrid(1.0, 16), m.noise.n_modes), guard=500.0)
     assert err.value.step == 1
     assert err.value.magnitude > 500.0
+
+
+def _per_step_solve(model, u0, control, guard):
+    """The solver as a per-step loop: step, guard check, then the three
+    diagnostics of each state, one state at a time."""
+    tg = control.timegrid
+    kernel = StepKernel.build(model, tg)
+    grid, p = model.grid, model.drift.p
+    u = u0.values.copy()
+    hat = kernel.rfft(u)
+    ts = tg.times()
+    rows = []
+    for n in range(tg.n_steps + 1):
+        if n:
+            u, hat = step_once(kernel, ts[n - 1], u, tg.dt * control.values[n - 1])
+            mag = float(np.max(np.abs(u)))
+            if not np.isfinite(mag) or mag > guard:
+                raise BlowUpError(n, mag)
+        rows.append((u, array_l2_sq(grid, u), array_seminorm_sq(grid, kernel.half_multipliers, hat),
+                     array_lp_pow(grid, u, p)))
+    return [np.array(col) for col in zip(*rows)]
+
+
+_SOLVE_MODELS = {
+    "default-128": lambda: zoo.default_model(),
+    "scalar-linear-8": lambda: zoo.scalar_linear_model(),
+    "2d-16": lambda: zoo.build_model(GridSpec(dim=2, half_length=2.0, points_per_dim=16, alpha=0.8)),
+    "pure-power": lambda: zoo.pure_power_model(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVE_MODELS))
+def test_dense_sweep_matches_per_step_loop_bit_for_bit(name):
+    """The trajectory and all three diagnostics, reduced over the stored
+    stacks after one sweep, equal the per-step loop's values bit for bit, and
+    a low guard stops both at the same step with the same magnitude."""
+    model = _SOLVE_MODELS[name]()
+    u0 = zoo.default_initial_datum(model.grid)
+    tg = TimeGrid(0.5, 32)
+    rng = np.random.default_rng(5)
+    control = Control(tg, rng.standard_normal((tg.n_steps, model.noise.n_modes)))
+    sol = solve_skeleton(model, u0, control)
+    got = [sol.trajectory, sol.l2_sq, sol.halpha_semi_sq, sol.lp_p]
+    for a, b in zip(got, _per_step_solve(model, u0, control, 1.0e6)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    push = Control(tg, np.full((tg.n_steps, model.noise.n_modes), 200.0))
+    guard = 3.0 * float(np.max(np.abs(u0.values)))
+    with pytest.raises(BlowUpError) as ref:
+        _per_step_solve(model, u0, push, guard)
+    assert 1 < ref.value.step < tg.n_steps
+    with pytest.raises(BlowUpError) as err:
+        solve_skeleton(model, u0, push, guard=guard)
+    assert (err.value.step, err.value.magnitude) == (ref.value.step, ref.value.magnitude)
 
 
 def test_solver_grid_mismatches():

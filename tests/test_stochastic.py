@@ -62,8 +62,6 @@ def test_sde_config_validation():
     with pytest.raises(DomainError):
         SdeConfig(epsilon=1.5, timegrid=tg)
     with pytest.raises(DomainError):
-        SdeConfig(epsilon=0.5, timegrid=tg, scheme="euler")
-    with pytest.raises(DomainError):
         SdeConfig(epsilon=0.5, timegrid=tg, linf_guard=0.0)
 
 
@@ -186,11 +184,16 @@ def test_batch_distance_accumulation_matches_post_hoc(default_setup):
     m, u0, tg = default_setup
     cfg = SdeConfig(epsilon=0.1, timegrid=tg)
     ref = solve_skeleton(m, u0, Control.zero(tg, m.noise.n_modes)).trajectory
-    sums = batch_paths(m, u0, cfg, 3, base_seed=42, references=[ref])
-    for b in range(3):
-        single = simulate_sde(m, u0, cfg, WienerDriver(m.noise.n_modes, 42, b))
-        expect = path_distance(m.grid, tg, single.trajectory, ref, m.drift.p)
-        assert sums[b].dists[0] == pytest.approx(expect, rel=1e-10)
+    singles = [simulate_sde(m, u0, cfg, WienerDriver(m.noise.n_modes, 42, b)).trajectory for b in range(3)]
+    post_hoc = {
+        "combined": lambda u: path_distance(m.grid, tg, u, ref, m.drift.p),
+        "l2rms": lambda u: np.sqrt(np.trapezoid(array_l2_sq(m.grid, u - ref), tg.times()) / tg.horizon),
+        "terminal": lambda u: np.sqrt(array_l2_sq(m.grid, u[-1] - ref[-1])),
+    }
+    for which, distance in post_hoc.items():
+        sums = batch_paths(m, u0, cfg, 3, base_seed=42, references=[ref], which=which)
+        for b in range(3):
+            assert sums[b].dists[0] == pytest.approx(distance(singles[b]), rel=1e-10)
 
 
 def test_batch_marks_blow_ups_without_aborting(default_setup):
