@@ -21,6 +21,12 @@ frequencies and rate constants refer to one geometry.
 Every probe runs the same campaign: one batch per (epsilon, datum) cell, on
 disjoint path streams, carrying all of the cell's reference paths at once.
 Paths that breach the plan's L-infinity guard are counted on the report.
+The fw probe and ``estimate_ball_probability`` read only the ball
+indicators d < delta and d >= delta, so on combined distances they decide
+each (path, reference) event early, with the full distances' counts
+(``batch_paths(event_radius=)``).
+The dz probe (per-set radii) and the uniform convergence sweep (d <= eta,
+whose ties fall the other way) keep full distances.
 Uniformity rows are derived from the fw-lower cells with no extra
 simulation.
 """
@@ -129,15 +135,17 @@ class LdpReport:
         yield from self.records
 
 
-def _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, references, which):
+def _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, references, which,
+                   event_radius=math.inf):
     """One Monte Carlo cell: (n_paths, n_refs) ``which`` distances and blown-path count.
 
     Blown-up paths carry infinite distance; a cell where every path blew up
-    has no event frequency to report.
+    has no event frequency to report. A caller that reads only the
+    indicators d < r and d >= r passes r as ``event_radius``.
     """
     sums = batch_paths(
-        model, u0, cfg, n_paths, base_seed,
-        stream_offset=stream_offset, references=references, which=which,
+        model, u0, cfg, n_paths, base_seed, stream_offset=stream_offset,
+        references=references, which=which, event_radius=event_radius,
     )
     blown = sum(1 for s in sums if s.blow_step is not None)
     if blown == n_paths:
@@ -147,7 +155,8 @@ def _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, references
     return np.vstack([s.dists for s in sums]), blown
 
 
-def _campaign(plan: LdpExperimentPlan, refs_by_datum, base_seed: int, which: str):
+def _campaign(plan: LdpExperimentPlan, refs_by_datum, base_seed: int, which: str,
+              event_radius: float = math.inf):
     """The epsilon x datum loop shared by every probe.
 
     Yields (eps, one distance matrix per datum, blown paths at eps). Cell
@@ -161,6 +170,7 @@ def _campaign(plan: LdpExperimentPlan, refs_by_datum, base_seed: int, which: str
             _simulate_cell(
                 plan.model, u0, cfg, plan.n_paths, base_seed,
                 (e_idx * n_data + d_idx) * plan.n_paths, refs_by_datum[d_idx], which,
+                event_radius=event_radius,
             )
             for d_idx, u0 in enumerate(plan.initial_data)
         ]
@@ -194,7 +204,9 @@ def estimate_ball_probability(
         raise DomainError(f"side must be 'inside' or 'outside', got {side!r}")
     phi = np.asarray(phi, dtype=float)
     cfg = SdeConfig(epsilon=epsilon, timegrid=timegrid, linf_guard=linf_guard)
-    dmat, _ = _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, [phi], which)
+    dmat, _ = _simulate_cell(
+        model, u0, cfg, n_paths, base_seed, stream_offset, [phi], which, event_radius=delta
+    )
     d = dmat[:, 0]
     hits = int(np.sum(d < delta)) if side == "inside" else int(np.sum(d >= delta))
     return hits / n_paths, wilson_interval(hits, n_paths)
@@ -331,7 +343,9 @@ def fw_bounds_experiment(
     lower_by_eps = []
     upper_by_eps = []
     blow_up_count = 0
-    for eps, dmats, blown in _campaign(plan, refs_by_datum, base_seed, plan.path_norm):
+    for eps, dmats, blown in _campaign(
+        plan, refs_by_datum, base_seed, plan.path_norm, event_radius=plan.delta
+    ):
         blow_up_count += blown
         lower_cells = []
         upper_cells = []

@@ -251,9 +251,13 @@ class NoiseSpec:
     @cached_property
     def kappa_support(self) -> tuple:
         """(flat indices where kappa != 0, kappa at them): the only points
-        where the state-dependent part kappa*sigma2 of a mode can be non-zero."""
+        where the state-dependent part kappa*sigma2 of a mode can be non-zero.
+        A support that is one contiguous flat range comes as a ``slice``, so
+        reads and writes through it are views."""
         flat = self.kappa.values.reshape(-1)
         idx = np.flatnonzero(flat)
+        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+            idx = slice(int(idx[0]), int(idx[-1]) + 1)
         return idx, flat[idx]
 
     def profile(self, u: np.ndarray) -> np.ndarray:

@@ -267,7 +267,8 @@ def _adjoint_grad(model, kernel, states, weights, dpen) -> np.ndarray:
         lam = jac[n] * e_lams[n] + dpen[n]
     e_flat = e_lams.reshape(tg.n_steps, -1)
     grad = e_flat @ noise.sigma1.reshape(noise.n_modes, -1).T
-    grad += np.einsum("nks,ns->nk", sig2, e_flat[:, noise.kappa_support[0]])
+    # in the column-major layout a fancy index gives: einsum's rounding depends on it
+    grad += np.einsum("nks,ns->nk", sig2, np.asfortranarray(e_flat[:, noise.kappa_support[0]]))
     return tg.dt * grad
 
 
@@ -599,10 +600,13 @@ def hausdorff_distance(a: LevelSet, b: LevelSet, p: float, which: str = "combine
         raise GridMismatchError("level sets live on different time grids")
     grid = a.u0.grid
     tg = a.timegrid
+    # one transform per trajectory, not one per pair
+    hats_a, hats_b = (np.fft.rfftn(np.stack(s.trajectories), axes=tuple(range(-grid.dim, 0)))
+                      for s in (a, b))
     d = np.empty((len(a.trajectories), len(b.trajectories)))
     for i, ta in enumerate(a.trajectories):
         for j, tb in enumerate(b.trajectories):
-            d[i, j] = path_distance(grid, tg, ta, tb, p, which=which)
+            d[i, j] = path_distance(grid, tg, ta, tb, p, which=which, hats=(hats_a[i], hats_b[j]))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 

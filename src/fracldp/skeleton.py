@@ -303,9 +303,11 @@ def solve_skeleton(
 # path norms
 
 
-def _norm_series(grid: GridSpec, traj: np.ndarray, p: float):
-    """Per-time (||u||_L2^2, seminorm^2, ||u||_Lp^p) of a trajectory."""
-    hat = np.fft.rfftn(traj, axes=tuple(range(-grid.dim, 0)))
+def _norm_series(grid: GridSpec, traj: np.ndarray, p: float, hat: Optional[np.ndarray] = None):
+    """Per-time (||u||_L2^2, seminorm^2, ||u||_Lp^p) of a trajectory; ``hat``
+    is its ``rfftn`` over the spatial axes, transformed here when not given."""
+    if hat is None:
+        hat = np.fft.rfftn(traj, axes=tuple(range(-grid.dim, 0)))
     return (
         array_l2_sq(grid, traj),
         array_seminorm_sq(grid, half_spectrum_multipliers(grid), hat),
@@ -314,14 +316,16 @@ def _norm_series(grid: GridSpec, traj: np.ndarray, p: float):
 
 
 def path_norm_components(
-    grid: GridSpec, timegrid: TimeGrid, traj: np.ndarray, p: float
+    grid: GridSpec, timegrid: TimeGrid, traj: np.ndarray, p: float,
+    hat: Optional[np.ndarray] = None,
 ) -> tuple[float, float, float]:
     """(sup-in-time L2, L2-in-time full H^alpha, Lp-in-time Lp) of a trajectory.
 
     The middle component integrates the full space norm ||.||_L2^2 + seminorm^2;
-    time integrals use the trapezoid rule on the step grid.
+    time integrals use the trapezoid rule on the step grid. ``hat`` is as in
+    ``_norm_series``.
     """
-    l2_sq, semi_sq, lp_p = _norm_series(grid, traj, p)
+    l2_sq, semi_sq, lp_p = _norm_series(grid, traj, p, hat)
     ts = timegrid.times()
     c_h = float(np.sqrt(np.max(l2_sq)))
     l2_v = float(np.sqrt(np.trapezoid(l2_sq + semi_sq, ts)))
@@ -336,15 +340,20 @@ def path_distance(
     traj_b: np.ndarray,
     p: float,
     which: str = "combined",
+    hats: Optional[tuple] = None,
 ) -> float:
     """Distance between trajectories in the product path norm.
 
     ``which`` selects a component: "c_h" (sup-in-time L2), "l2_v"
     (L2-in-time H^alpha), "lp_lp" (Lp-in-time Lp), or their sum "combined".
+    A caller holding the ``rfftn`` of both trajectories passes them as
+    ``hats``; their difference stands in for the transform of the difference
+    (equal up to roundoff, since the transform is linear).
     """
     if traj_a.shape != traj_b.shape:
         raise GridMismatchError("trajectory shapes differ")
-    c_h, l2_v, lp_lp = path_norm_components(grid, timegrid, traj_a - traj_b, p)
+    diff_hat = None if hats is None else hats[0] - hats[1]
+    c_h, l2_v, lp_lp = path_norm_components(grid, timegrid, traj_a - traj_b, p, diff_hat)
     table = {"c_h": c_h, "l2_v": l2_v, "lp_lp": lp_lp, "combined": c_h + l2_v + lp_lp}
     try:
         return table[which]

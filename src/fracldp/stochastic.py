@@ -19,13 +19,15 @@ batches embarrassingly parallel and bit-reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError
-from .grids import EPS_LADDER, POSITIVE, UNIT, Range, at_least, check_ranges, check_value
+from .grids import EPS_LADDER, NON_NEGATIVE_OR_INF, POSITIVE, UNIT, Range
+from .grids import at_least, check_ranges, check_value
 from .grids import array_l2_sq, array_lp_pow, array_seminorm_sq
 from .models import ModelSpec
 from .skeleton import (
@@ -193,14 +195,34 @@ class PathSummary:
 
 def _accumulate(acc, kernel, w, alive, u, hat) -> None:
     """Add one time step of ``u`` (``hat`` its ``rfftn``, ``w`` its trapezoid
-    weight) to the path-norm pieces in ``acc``, on live paths only: the running
-    sup of ||u||^2 and the trapezoid sums of ||u||^2 + seminorm^2 and ||u||_p^p."""
+    weight) to the path-norm pieces in ``acc``, on live paths only (every row
+    when ``alive`` is None): the running sup of ||u||^2 and the trapezoid sums
+    of ||u||^2 + seminorm^2 and ||u||_p^p."""
     grid = kernel.model.grid
     l2_sq = array_l2_sq(grid, u)
     semi_sq = array_seminorm_sq(grid, kernel.half_multipliers, hat)
-    np.maximum(acc[0], np.where(alive, l2_sq, 0.0), out=acc[0])
-    acc[1] += np.where(alive, w * (l2_sq + semi_sq), 0.0)
-    acc[2] += np.where(alive, w * array_lp_pow(grid, u, kernel.model.drift.p), 0.0)
+    pieces = [l2_sq, w * (l2_sq + semi_sq), w * array_lp_pow(grid, u, kernel.model.drift.p)]
+    if alive is not None:
+        pieces = [np.where(alive, x, 0.0) for x in pieces]
+    np.maximum(acc[0], pieces[0], out=acc[0])
+    acc[1] += pieces[1]
+    acc[2] += pieces[2]
+
+
+_PAIR_BLOCK = 1 << 15  # array elements per block of pairs: bounds the temporaries
+
+
+def _accumulate_pairs(acc, kernel, w, u, hat, ref, ref_hat, path, rid) -> None:
+    """``_accumulate`` of the differences u[path[i]] - ref[rid[i]] into column
+    i of ``acc``, a block of pairs at a time."""
+    block = max(1, _PAIR_BLOCK // kernel.model.grid.n_total)
+    for s in range(0, len(path), block):
+        pb, rb = path[s:s + block], rid[s:s + block]
+        diff = u.take(pb, axis=0)
+        diff -= ref.take(rb, axis=0)
+        diff_hat = hat.take(pb, axis=0)
+        diff_hat -= ref_hat.take(rb, axis=0)
+        _accumulate(acc[:, s:s + block], kernel, w, None, diff, diff_hat)
 
 
 def batch_paths(
@@ -214,25 +236,34 @@ def batch_paths(
     references: Sequence[np.ndarray] = (),
     probe: Optional[Field] = None,
     which: str = "combined",
+    event_radius: float = math.inf,
 ) -> list[PathSummary]:
     """Simulate ``n_paths`` streams at once, reducing each to a PathSummary.
 
     This is the batched one of the two loops around ``step_once`` (the other
     is the skeleton module's dense sweep, which keeps whole trajectories).
     Drivers are the same per-path counter-based generators ``simulate_sde``
-    uses, so a batch is bit-reproducible for a fixed batch size, and each
-    member matches the corresponding single-path run to floating-point
-    roundoff (batched FFT vectorization rounds the last ulp differently, so
-    exact bit-identity holds per execution shape, not across shapes).
+    uses, so each member matches the corresponding single-path run to
+    floating-point roundoff, and its summary is bit-identical in any batch of
+    at least two paths (a batch of one rounds differently in the last bits).
     Path blow-ups freeze the offending member at its last finite state, set
     ``blow_step``, and poison its distances with +inf; they never abort the
     batch. Distances to ``references`` (trajectories on the same grids)
     accumulate on the fly, only in the kind ``which`` names: "combined", the
     path norm sup-L2 + L2-in-time-H^alpha + Lp-in-time-Lp; "l2rms",
     sqrt((1/T) int ||u - ref||^2 dt); or "terminal", ||u(T) - ref(T)||_L2.
+
+    A finite ``event_radius`` r serves callers that read only the indicators
+    d < r and d >= r. Every piece of the combined norm is non-decreasing in
+    time, so a (path, reference) pair whose partial distance exceeds r is
+    decided: it stops accumulating and comes back as +inf, while every other
+    pair comes back with its exact full distance. Both indicators are thus
+    bit-identical to the full mode (r = inf). Every path is still stepped,
+    and the other kinds always come back in full.
     """
     check_value("n_paths", n_paths, at_least(1))
     check_value("which", which, DIST_KINDS)
+    check_value("event_radius", event_radius, NON_NEGATIVE_OR_INF)
     tg = cfg.timegrid
     grid = model.grid
     n_refs = len(references)
@@ -249,9 +280,20 @@ def batch_paths(
     tw = tg.trapezoid_weights()
     u = np.broadcast_to(u0.values, (n_paths, *grid.shape)).copy()
     hat = kernel.rfft(u)
-    ref_hats = [kernel.rfft(r) for r in references] if which == "combined" else []
     acc = np.zeros((3, n_paths))  # the path's own norm pieces: its energy
-    ref_acc = np.zeros((3, n_paths, n_refs) if which == "combined" else (n_paths, n_refs))
+    ref_acc = np.zeros((n_paths, n_refs))  # l2rms sums
+    # combined: the undecided (path, reference) pairs and their norm pieces
+    n_pairs = n_paths * n_refs if which == "combined" else 0
+    pair_path, pair_ref = np.divmod(np.arange(n_pairs), max(n_refs, 1))
+    pair_acc = np.zeros((3, n_pairs))
+    if n_pairs:
+        refs = np.stack(references, axis=1)  # step-major: refs[k] is every reference at step k
+        ref_hats = kernel.rfft(refs)
+    p = model.drift.p
+
+    def combined(a):
+        return np.sqrt(a[0]) + np.sqrt(a[1]) + a[2] ** (1.0 / p)
+
     blow_step = np.zeros(n_paths, dtype=int)  # 0 = alive
     alive = blow_step == 0
     for k in range(tg.n_steps + 1):
@@ -269,15 +311,21 @@ def batch_paths(
                 u = np.where(alive_mask, u_next, u)
                 hat = np.where(alive_mask, hat_next, hat)
         _accumulate(acc, kernel, tw[k], alive, u, hat)
-        for j, ref in enumerate(references):
-            if which == "combined":
-                diff_hat = hat - ref_hats[j][k]
-                _accumulate(ref_acc[:, :, j], kernel, tw[k], alive, u - ref[k], diff_hat)
-            elif which == "l2rms":
+        if len(pair_path):
+            _accumulate_pairs(pair_acc, kernel, tw[k], u, hat, refs[k], ref_hats[k], pair_path, pair_ref)
+            # decide on the final distance's own expression; the margin keeps
+            # a libm pow that is not monotone from deciding a pair wrongly
+            decided = (combined(pair_acc) > event_radius * (1 + 1e-12)) | ~alive[pair_path]
+            if decided.any():
+                keep = ~decided
+                pair_path, pair_ref, pair_acc = pair_path[keep], pair_ref[keep], pair_acc[:, keep]
+        if which == "l2rms":
+            for j, ref in enumerate(references):
                 ref_acc[:, j] += np.where(alive, tw[k] * array_l2_sq(grid, u - ref[k]), 0.0)
 
     if which == "combined":
-        dists = np.sqrt(ref_acc[0]) + np.sqrt(ref_acc[1]) + ref_acc[2] ** (1.0 / model.drift.p)
+        dists = np.full((n_paths, n_refs), np.inf)
+        dists[pair_path, pair_ref] = combined(pair_acc)
     elif which == "l2rms":
         dists = np.sqrt(ref_acc / tg.horizon)
     else:
@@ -291,7 +339,8 @@ def batch_paths(
     energy[~alive] = np.inf
     probe_inner = None
     if probe is not None:
-        probe_inner = grid.cell_volume * (u.reshape(n_paths, -1) @ probe.values.reshape(-1))
+        # a sum, not a matrix-vector product, whose rounding depends on the batch size
+        probe_inner = grid.cell_volume * np.sum(u * probe.values, axis=tuple(range(-grid.dim, 0)))
     return [
         PathSummary(
             stream_id=stream_offset + b,

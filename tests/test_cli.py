@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fracldp import cli
 from fracldp.cli import main
 from fracldp.config import parse_config, serialize_config
 from fracldp.persist import read_manifest, read_ndjson, sha256_file
@@ -150,14 +151,30 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):
-    # three fixed chunks of 64: enough to exercise the pool split
-    cfg = write_config(tmp_path, "simulate", SCALAR, {"n_paths": 130})
+    # two chunks: enough to exercise the pool split
+    cfg = write_config(tmp_path, "simulate", SCALAR, {"n_paths": 600})
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     run_cli("simulate", cfg, serial)
     run_cli("simulate", cfg, pooled, "--workers", 2)
     assert (serial / "records.ndjson").read_bytes() == \
         (pooled / "records.ndjson").read_bytes()
     assert read_manifest(pooled / "manifest.json")["ignored_flags"] == []
+
+
+@pytest.mark.parametrize("n_paths", [65, 1025])
+def test_simulate_chunk_size_does_not_change_bytes(tmp_path, monkeypatch, n_paths):
+    """Records do not depend on the chunk constant: every chunk holds at least
+    two paths (a one-path tail joins the chunk before it), and a path's summary
+    is bit-identical in any batch of two or more."""
+    cfg = write_config(tmp_path, "simulate", {"preset": "default"}, {"n_paths": n_paths},
+                       timegrid={"horizon": 0.25, "n_steps": 64})
+    outputs = []
+    for chunk in (64, 512):
+        monkeypatch.setattr(cli, "_SIM_CHUNK", chunk)
+        out = tmp_path / f"chunk{chunk}"
+        assert run_cli("simulate", cfg, out) == 0
+        outputs.append((out / "records.ndjson").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_ignored_workers_flag_is_listed_in_the_manifest(tmp_path):

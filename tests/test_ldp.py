@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fracldp import skeleton, stochastic
+from fracldp import ldp, skeleton, stochastic
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
 from fracldp.ldp import (
     DependencyError,
@@ -33,7 +33,7 @@ from fracldp.rate import (
     minimize_rate,
 )
 from fracldp.skeleton import Control, TimeGrid, solve_skeleton
-from fracldp.stochastic import EstimationError
+from fracldp.stochastic import EstimationError, SdeConfig, batch_paths
 from fracldp.zoo import scalar_linear_model
 
 A_COEFF = 1.0
@@ -540,6 +540,52 @@ def test_fw_counts_blown_paths(lab):
     tight, loose = blown(0.55), blown(0.6)
     assert 0 < loose <= tight < 2 * 200
     assert blown(1.0e6) == 0
+
+
+def test_event_mode_decides_every_pair_as_the_full_mode(lab):
+    """On a cell with blown paths, stopping a pair once its partial distance
+    passes r gives every (path, reference) pair the full mode's indicator,
+    and every distance below r the full mode's bits."""
+    model, tg, u0 = lab["model"], lab["tg"], lab["u0"]
+    refs = [lab["targets"][0], zero_reference(lab["grid"]),
+            g0_map(model, u0, Control.zero(tg, model.noise.n_modes), tg)]
+    cfg = SdeConfig(epsilon=0.2, timegrid=tg, linf_guard=0.55)  # as test_fw_counts_blown_paths
+
+    def dists(**kw):
+        sums = batch_paths(model, u0, cfg, 200, 7, references=refs, **kw)
+        return np.vstack([s.dists for s in sums]), sum(s.blow_step is not None for s in sums)
+
+    full, blown = dists()
+    assert blown > 0
+    for r in (0.0, 0.3, math.inf):
+        event, event_blown = dists(event_radius=r)
+        assert event_blown == blown
+        assert np.array_equal(event < r, full < r)
+        assert np.array_equal(event >= r, full >= r)
+        assert np.array_equal(event[full < r], full[full < r])
+    assert 0 < np.sum(full < 0.3) < np.sum(np.isfinite(full))  # hits and decided pairs
+
+
+def test_event_mode_leaves_probe_results_unchanged(lab, monkeypatch):
+    """fw records and ball probabilities are those of the full mode."""
+    model, tg, u0 = lab["model"], lab["tg"], lab["u0"]
+    plan = make_plan(lab, initial_data=(u0,), eps_list=(0.5, 0.2), n_paths=200,
+                     s_levels=(0.2,), linf_guard=0.55)
+
+    def run():
+        rep = fw_bounds_experiment(plan, [lab["control"]], [lab["rates"][0]],
+                                   base_seed=7, n_level_samples=5)
+        balls = [
+            estimate_ball_probability(model, u0, lab["targets"][0], delta, 0.2, 200, 7, tg,
+                                      side=side, linf_guard=0.55)
+            for delta in (0.0, 0.3, math.inf) for side in ("inside", "outside")
+        ]
+        return rep.records, rep.blow_up_count, balls
+
+    event = run()
+    event_cell = ldp._simulate_cell
+    monkeypatch.setattr(ldp, "_simulate_cell", lambda *args, event_radius: event_cell(*args))
+    assert run() == event
 
 
 def test_fw_sweeps_each_reference_once(lab, monkeypatch):

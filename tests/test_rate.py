@@ -7,7 +7,7 @@ import pytest
 
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
 from fracldp.models import ModelSpec
-from fracldp.skeleton import BlowUpError, Control, StepKernel, TimeGrid, step_once
+from fracldp.skeleton import BlowUpError, Control, StepKernel, TimeGrid, path_distance, step_once
 from fracldp.zoo import (
     build_model,
     default_initial_datum,
@@ -504,6 +504,23 @@ def test_hausdorff_constant_shift_closed_form(setup):
     lp = c * vol ** (1.0 / p)
     expected = l2 + np.sqrt(tg.horizon) * l2 + tg.horizon ** (1.0 / p) * lp
     assert hausdorff_distance(a, b, p) == pytest.approx(expected, rel=1e-12)
+
+
+def test_hausdorff_matches_per_pair_path_distance(setup):
+    """Subtracting per-trajectory transforms stands in for transforming each
+    pairwise difference: every component and the combined distance agree with
+    the per-pair path_distance within roundoff."""
+    model, u0, tg = setup
+    p = model.drift.p
+    a = sample_level_set(model, u0, 0.4, 6, tg, seed=5)
+    b = sample_level_set(model, u0, 1.2, 5, tg, seed=6)
+    for which in ("combined", "c_h", "l2_v", "lp_lp"):
+        per_pair = np.array([
+            [path_distance(model.grid, tg, ta, tb, p, which=which) for tb in b.trajectories]
+            for ta in a.trajectories
+        ])
+        expected = max(per_pair.min(axis=1).max(), per_pair.min(axis=0).max())
+        assert hausdorff_distance(a, b, p, which=which) == pytest.approx(expected, rel=1e-12)
 
 
 def test_hausdorff_timegrid_mismatch(setup):

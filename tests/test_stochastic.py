@@ -148,6 +148,9 @@ def test_simulate_input_validation(default_setup):
     for n_paths in (0, 2.5, np.nan, True):
         with pytest.raises(DomainError, match="n_paths"):
             batch_paths(m, u0, cfg, n_paths, base_seed=0)
+    for radius in (-0.1, np.nan):
+        with pytest.raises(DomainError, match="event_radius"):
+            batch_paths(m, u0, cfg, 2, base_seed=0, event_radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +179,22 @@ def test_batch_bit_reproducible(default_setup):
     b = batch_paths(m, u0, cfg, 5, base_seed=7)
     assert all(x.terminal_l2 == y.terminal_l2 for x, y in zip(a, b))
     assert all(x.energy == y.energy for x, y in zip(a, b))
+
+
+def test_batch_summaries_do_not_depend_on_batch_size(default_setup):
+    """A stream's summary is bit-identical in any batch of two or more paths."""
+    m, u0, tg = default_setup
+    cfg = SdeConfig(epsilon=0.1, timegrid=tg)
+    ref = solve_skeleton(m, u0, Control.zero(tg, m.noise.n_modes)).trajectory
+
+    def records(batch):
+        sums = []
+        for start in range(0, 14, batch):
+            sums += batch_paths(m, u0, cfg, batch, base_seed=5, stream_offset=start,
+                                references=[ref], probe=u0)
+        return [(s.as_record(), s.probe_inner) for s in sums[:14]]
+
+    assert records(2) == records(7) == records(64)
 
 
 def test_batch_distance_accumulation_matches_post_hoc(default_setup):
