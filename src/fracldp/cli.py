@@ -44,6 +44,7 @@ from .ldp import (
     DependencyError,
     LdpExperimentPlan,
     fw_bounds_experiment,
+    uniform_convergence_experiment,
     uniformity_sweep,
 )
 from .models import ConditionError, SamplingPlan, validate_drift, validate_noise
@@ -75,7 +76,6 @@ from .stochastic import (
     EstimationError,
     SdeConfig,
     batch_paths,
-    uniform_convergence_experiment,
 )
 
 EXIT_OK = 0

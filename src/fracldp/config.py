@@ -12,8 +12,9 @@ with the ``Range`` from that constructor's ``RANGES`` table, so the config
 accepts a value exactly when the constructor does. Keys only the config knows
 build their ranges from the same vocabulary in ``grids``.
 
-Grid defaults follow the chosen model preset (the scalar reduction lives on
-its own small box), so an omitted grid section reproduces the preset's
+Grid defaults follow the chosen model preset: an omitted grid key takes the
+value of the preset's natural grid in ``zoo.PRESETS`` (the grid its builder
+uses when given none), so an omitted grid section reproduces the preset's
 natural geometry rather than silently rescaling it.
 """
 
@@ -30,18 +31,7 @@ from .models import DriftSpec, ModelSpec, NoiseSpec, SamplingPlan, noise_exponen
 from .rate import OptimizerSettings, RateQuery
 from .skeleton import TimeGrid
 from .stochastic import SdeConfig
-from .zoo import (
-    BUILD_RANGES,
-    boundary_growth_model,
-    build_model,
-    constant_reduction_model,
-    default_initial_datum,
-    default_model,
-    fractional_model,
-    linear_additive_model,
-    pure_power_model,
-    scalar_linear_model,
-)
+from .zoo import BUILD_RANGES, PRESETS, build_model, default_initial_datum
 
 EXPERIMENT_NAMES = (
     "simulate",
@@ -53,24 +43,6 @@ EXPERIMENT_NAMES = (
     "tail-scan",
     "cvs-sweep",
 )
-
-MODEL_PRESETS = (
-    "default",
-    "fractional",
-    "pure-power",
-    "boundary-growth",
-    "scalar-linear",
-    "linear-additive",
-    "constant-reduction",
-    "built",
-)
-
-_PRESET_GRIDS = {
-    "scalar-linear": {"dim": 1, "half_length": 2.0, "points_per_dim": 8, "alpha": 1.0},
-    "linear-additive": {"dim": 1, "half_length": 4.0, "points_per_dim": 32, "alpha": 0.75},
-    "fractional": {"dim": 1, "half_length": 4.0, "points_per_dim": 128, "alpha": 0.6},
-}
-_DEFAULT_GRID = {"dim": 1, "half_length": 4.0, "points_per_dim": 128, "alpha": 1.0}
 
 
 class ConfigError(ValueError):
@@ -297,10 +269,10 @@ def parse_config(text: str) -> RunConfig:
     # model first: the preset fixes the grid defaults
     model_raw = raw.get("model", {})
     preset = model_raw.get("preset", "default") if isinstance(model_raw, dict) else "default"
-    if preset not in MODEL_PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         errors.append({
             "key": "model.preset",
-            "expected": f"one of {sorted(MODEL_PRESETS)}",
+            "expected": f"one of {sorted(PRESETS)}",
             "found": repr(preset),
         })
         preset = "default"
@@ -330,8 +302,8 @@ def parse_config(text: str) -> RunConfig:
             extra_forbidden=tuple(_BUILT_KEYS),
         )
 
-    grid_defaults = _PRESET_GRIDS.get(preset, _DEFAULT_GRID)
-    grid_keys = {k: (grid_defaults[k], rng) for k, rng in GridSpec.RANGES.items()}
+    natural = PRESETS[preset].grid
+    grid_keys = {k: (getattr(natural, k), rng) for k, rng in GridSpec.RANGES.items()}
     grid = _fill_section(raw.get("grid", {}), grid_keys, "grid", errors)
     timegrid = _fill_section(raw.get("timegrid", {}), _TIMEGRID_KEYS, "timegrid", errors)
     run = _fill_section(raw.get("run", {}), _RUN_KEYS, "run", errors)
@@ -383,16 +355,7 @@ def build_model_from_config(cfg: RunConfig) -> ModelSpec:
             noise_form=m["noise_form"], q=m["q"], n_modes=m["n_modes"],
             gamma0=m["gamma0"], saturation=m["saturation"],
         )
-    builders = {
-        "default": default_model,
-        "fractional": fractional_model,
-        "pure-power": pure_power_model,
-        "boundary-growth": boundary_growth_model,
-        "scalar-linear": lambda grid: scalar_linear_model(grid=grid),
-        "linear-additive": lambda grid: linear_additive_model(grid=grid),
-        "constant-reduction": constant_reduction_model,
-    }
-    return builders[preset](grid)
+    return PRESETS[preset].build(grid=grid)
 
 
 def _auto_data(preset: str) -> list:

@@ -1,4 +1,5 @@
-"""Monte Carlo probes of the two uniform large-deviation statements.
+"""Monte Carlo probes of the two uniform large-deviation statements and of
+the uniform convergence of shifted noisy paths to their skeletons.
 
 The asymptotic liminf/limsup bounds become finite-epsilon *trend verdicts*:
 each cell of the (epsilon, datum, target) grid records the event probability
@@ -18,15 +19,17 @@ events for the open/closed probes use the time-averaged L2 distance — the
 same smooth norm the constrained rate minimizer works in, so measured
 frequencies and rate constants refer to one geometry.
 
-Every probe runs the same campaign: one batch per (epsilon, datum) cell, on
-disjoint path streams, carrying all of the cell's reference paths at once.
-Paths that breach the plan's L-infinity guard are counted on the report.
-The fw probe and ``estimate_ball_probability`` read only the ball
-indicators d < delta and d >= delta, so on combined distances they decide
-each (path, reference) event early, with the full distances' counts
-(``batch_paths(event_radius=)``).
-The dz probe (per-set radii) and the uniform convergence sweep (d <= eta,
-whose ties fall the other way) keep full distances.
+Every probe runs the same campaign: one batch per (epsilon, cell), a cell
+being a datum, an optional shift control and its reference paths. Cell c at
+epsilon index e draws streams from (e * n_cells + c) * n_paths on, so no two
+cells share a path. Blown paths are counted on the report; a cell where
+every path blew up raises ``EstimationError``.
+The fw probe and ``estimate_ball_probability`` (d < delta, d >= delta) and
+the convergence sweep (not d <= eta) read only indicators at one radius, so
+they decide each combined-distance (path, reference) event early through
+the ``event_radius`` of ``batch_paths``: a decided pair's true distance
+exceeds the radius by more than 1e-12 relative, and every other pair keeps
+its exact distance. The dz probe (per-set radii) keeps full distances.
 Uniformity rows are derived from the fw-lower cells with no extra
 simulation.
 """
@@ -44,7 +47,7 @@ from .grids import EPS_LADDER, NON_NEGATIVE, NON_NEGATIVE_OR_INF, POSITIVE, Rang
 from .grids import at_least, check_ranges, check_value
 from .models import ModelSpec
 from .rate import BALL_RADIUS, RateResult, g0_map, level_set_controls, sample_level_set
-from .skeleton import Control, TimeGrid
+from .skeleton import Control, TimeGrid, solve_skeleton
 from .stochastic import (
     DIST_KINDS,
     EstimationError,
@@ -56,6 +59,11 @@ from .stochastic import (
 
 class DependencyError(RuntimeError):
     """A required upstream computation (rate value, level set) is missing."""
+
+
+# how far a worst margin may move the wrong way along the epsilon sweep
+# before the trend verdict fails
+_TREND_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -135,16 +143,18 @@ class LdpReport:
         yield from self.records
 
 
-def _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, references, which,
+def _simulate_cell(model, cfg, n_paths, base_seed, stream_offset, cell, which,
                    event_radius=math.inf):
     """One Monte Carlo cell: (n_paths, n_refs) ``which`` distances and blown-path count.
 
+    ``cell`` is a (datum, shift control or None, references) triple.
     Blown-up paths carry infinite distance; a cell where every path blew up
     has no event frequency to report. A caller that reads only the
     indicators d < r and d >= r passes r as ``event_radius``.
     """
+    u0, shift, references = cell
     sums = batch_paths(
-        model, u0, cfg, n_paths, base_seed, stream_offset=stream_offset,
+        model, u0, cfg, n_paths, base_seed, stream_offset=stream_offset, shift=shift,
         references=references, which=which, event_radius=event_radius,
     )
     blown = sum(1 for s in sums if s.blow_step is not None)
@@ -155,26 +165,25 @@ def _simulate_cell(model, u0, cfg, n_paths, base_seed, stream_offset, references
     return np.vstack([s.dists for s in sums]), blown
 
 
-def _campaign(plan: LdpExperimentPlan, refs_by_datum, base_seed: int, which: str,
-              event_radius: float = math.inf):
-    """The epsilon x datum loop shared by every probe.
+def _campaign(model, timegrid, eps_list, n_paths, linf_guard, cells, base_seed, which,
+              event_radius=math.inf):
+    """The epsilon x cell loop shared by every probe.
 
-    Yields (eps, one distance matrix per datum, blown paths at eps). Cell
-    (e, d) draws streams from (e * n_data + d) * n_paths on, so no two cells
-    share a path.
+    ``cells`` lists (datum, shift control or None, references) triples.
+    Yields (eps, one distance matrix per cell, blown paths at eps). Cell c
+    at epsilon index e draws streams from (e * n_cells + c) * n_paths on, so
+    no two cells share a path.
     """
-    n_data = len(plan.initial_data)
-    for e_idx, eps in enumerate(plan.eps_list):
-        cfg = SdeConfig(epsilon=eps, timegrid=plan.timegrid, linf_guard=plan.linf_guard)
-        cells = [
+    for e_idx, eps in enumerate(eps_list):
+        cfg = SdeConfig(epsilon=eps, timegrid=timegrid, linf_guard=linf_guard)
+        results = [
             _simulate_cell(
-                plan.model, u0, cfg, plan.n_paths, base_seed,
-                (e_idx * n_data + d_idx) * plan.n_paths, refs_by_datum[d_idx], which,
-                event_radius=event_radius,
+                model, cfg, n_paths, base_seed, (e_idx * len(cells) + c) * n_paths, cell,
+                which, event_radius=event_radius,
             )
-            for d_idx, u0 in enumerate(plan.initial_data)
+            for c, cell in enumerate(cells)
         ]
-        yield eps, [dmat for dmat, _ in cells], sum(blown for _, blown in cells)
+        yield eps, [dmat for dmat, _ in results], sum(blown for _, blown in results)
 
 
 def estimate_ball_probability(
@@ -205,7 +214,8 @@ def estimate_ball_probability(
     phi = np.asarray(phi, dtype=float)
     cfg = SdeConfig(epsilon=epsilon, timegrid=timegrid, linf_guard=linf_guard)
     dmat, _ = _simulate_cell(
-        model, u0, cfg, n_paths, base_seed, stream_offset, [phi], which, event_radius=delta
+        model, cfg, n_paths, base_seed, stream_offset, (u0, None, [phi]), which,
+        event_radius=delta,
     )
     d = dmat[:, 0]
     hits = int(np.sum(d < delta)) if side == "inside" else int(np.sum(d >= delta))
@@ -230,7 +240,6 @@ def _trend_verdict(
     lower_cells_by_eps: list,
     upper_cells_by_eps: list,
     slack: float,
-    trend_tol: float,
     upper_trend: bool = True,
 ):
     """Aggregate per-epsilon cell margins into (worst curves, verdict, n_straddling).
@@ -258,12 +267,12 @@ def _trend_verdict(
         straddling += sum(1 for m, cens in upper_cells_by_eps[-1] if cens and m > slack)
 
     if lower_curve and (
-        lower_curve[-1] < -slack or lower_curve[-1] < lower_curve[0] - trend_tol
+        lower_curve[-1] < -slack or lower_curve[-1] < lower_curve[0] - _TREND_TOL
     ):
         return lower_curve, upper_curve, "fail", straddling
     upper_bad = upper_curve and upper_curve[-1] > slack
     if upper_trend and upper_curve:
-        upper_bad = upper_bad or upper_curve[-1] > upper_curve[0] + trend_tol
+        upper_bad = upper_bad or upper_curve[-1] > upper_curve[0] + _TREND_TOL
     if upper_bad:
         worst_m = max(m for m, _ in upper_cells_by_eps[-1])
         worst_censored = any(
@@ -297,7 +306,6 @@ def fw_bounds_experiment(
     base_seed: int = 0,
     n_level_samples: int = 24,
     level_seed: int = 1,
-    trend_tol: float = 0.05,
 ) -> LdpReport:
     """Finite-epsilon probe of the path-ball lower and level-set upper bounds.
 
@@ -330,12 +338,12 @@ def fw_bounds_experiment(
         level_set_controls(model, s, n_level_samples, tg, seed=level_seed + k)
         for k, s in enumerate(plan.s_levels)
     ]
-    refs_by_datum = []
+    cells = []
     for u0 in plan.initial_data:
         refs = [g0_map(model, u0, v, tg) for v in controls]
         for s, members in zip(plan.s_levels, level_controls):
             refs.extend(sample_level_set(model, u0, s, 0, tg, controls=members).trajectories)
-        refs_by_datum.append(refs)
+        cells.append((u0, None, refs))
     # level k's members occupy columns bounds[k]:bounds[k + 1]
     bounds = np.cumsum([len(controls)] + [len(m) for m in level_controls])
 
@@ -344,7 +352,8 @@ def fw_bounds_experiment(
     upper_by_eps = []
     blow_up_count = 0
     for eps, dmats, blown in _campaign(
-        plan, refs_by_datum, base_seed, plan.path_norm, event_radius=plan.delta
+        model, tg, plan.eps_list, plan.n_paths, plan.linf_guard, cells, base_seed,
+        plan.path_norm, event_radius=plan.delta,
     ):
         blow_up_count += blown
         lower_cells = []
@@ -372,7 +381,7 @@ def fw_bounds_experiment(
         upper_by_eps.append(upper_cells)
 
     lower_curve, upper_curve, verdict, straddling = _trend_verdict(
-        lower_by_eps, upper_by_eps, plan.slack, trend_tol
+        lower_by_eps, upper_by_eps, plan.slack
     )
     return LdpReport(
         probe="fw",
@@ -418,7 +427,6 @@ def dz_bounds_experiment(
     sets: Sequence[PathSetSpec],
     set_rates: Sequence[Sequence[RateResult]],
     base_seed: int = 0,
-    trend_tol: float = 0.05,
 ) -> LdpReport:
     """Finite-epsilon probe of the open-set lower / closed-set upper bounds.
 
@@ -443,8 +451,11 @@ def dz_bounds_experiment(
     lower_by_eps = []
     upper_by_eps = []
     blow_up_count = 0
-    n_data = len(plan.initial_data)
-    for eps, dmats, blown in _campaign(plan, [refs] * n_data, base_seed, "l2rms"):
+    cells = [(u0, None, refs) for u0 in plan.initial_data]
+    for eps, dmats, blown in _campaign(
+        plan.model, plan.timegrid, plan.eps_list, plan.n_paths, plan.linf_guard, cells,
+        base_seed, "l2rms",
+    ):
         blow_up_count += blown
         lower_cells = []
         upper_cells = []
@@ -473,7 +484,7 @@ def dz_bounds_experiment(
         upper_by_eps.append(upper_cells)
 
     lower_curve, upper_curve, verdict, straddling = _trend_verdict(
-        lower_by_eps, upper_by_eps, plan.slack, trend_tol, upper_trend=False
+        lower_by_eps, upper_by_eps, plan.slack, upper_trend=False
     )
     return LdpReport(
         probe="dz",
@@ -536,4 +547,102 @@ def uniformity_sweep(report: LdpReport) -> UniformityReport:
         margins=margins_by_eps,
         warning=warning,
         passed=passed,
+    )
+
+
+# ---------------------------------------------------------------------------
+# convergence of shifted paths to the skeleton (uniformly over data/controls)
+
+
+@dataclass
+class ConvergenceRow:
+    epsilon: float
+    p_hat: float
+    ci_lo: float
+    ci_hi: float
+    worst_cell: tuple
+    exceed_count: int
+    n_paths: int
+
+
+@dataclass
+class ConvergenceTable:
+    rows: list
+    eta: float
+    passed: bool
+    blow_up_count: int = 0  # paths that breached linf_guard, over all cells
+
+    def as_rows(self):
+        for r in self.rows:
+            yield {
+                "epsilon": r.epsilon,
+                "p_hat": r.p_hat,
+                "ci_lo": r.ci_lo,
+                "ci_hi": r.ci_hi,
+                "worst_u0": r.worst_cell[0],
+                "worst_control": r.worst_cell[1],
+                "exceed_count": r.exceed_count,
+                "n_paths": r.n_paths,
+            }
+
+
+def uniform_convergence_experiment(
+    model: ModelSpec,
+    u0_set: Sequence[Field],
+    v_set: Sequence[Control],
+    eps_list: Sequence[float],
+    eta: float,
+    n_paths: int,
+    base_seed: int,
+    radius_bound: Optional[float] = None,
+    action_bound: Optional[float] = None,
+) -> ConvergenceTable:
+    """Estimate p(eps) = max over (u0, v) cells of P(||u^eps_v - u_v|| > eta).
+
+    The distance is the combined path norm to the cell's skeleton solution;
+    the cells are the (u0, v) pairs in row-major order, each simulated with
+    the shift v. Pass verdict: p_hat non-increasing along the (decreasing)
+    eps_list within CI slack, and the smallest-eps estimate CI-separated
+    below the largest-eps one. ``radius_bound``/``action_bound`` optionally
+    declare the bounded sets the sweep quantifies over; members violating
+    them are rejected.
+    """
+    if not u0_set or not v_set:
+        raise DomainError("u0_set and v_set must be non-empty")
+    eps_arr = [float(e) for e in eps_list]
+    check_value("eps_list", eps_arr, EPS_LADDER)
+    check_value("eta", eta, POSITIVE)
+    for i, u0 in enumerate(u0_set):
+        norm = l2_norm(u0)
+        if radius_bound is not None and norm > radius_bound + 1e-9:
+            raise DomainError(f"initial datum {i} has norm {norm:.4g} outside the declared ball {radius_bound}")
+    for j, v in enumerate(v_set):
+        if action_bound is not None and 0.5 * v.l2_sq() > action_bound + 1e-9:
+            raise DomainError(f"control {j} has action {0.5 * v.l2_sq():.4g} outside the declared bound {action_bound}")
+
+    cells = [(u0, v, [solve_skeleton(model, u0, v).trajectory]) for u0 in u0_set for v in v_set]
+    rows = []
+    blow_up_count = 0
+    for eps, dmats, blown in _campaign(
+        model, v_set[0].timegrid, eps_arr, n_paths, SdeConfig.linf_guard, cells, base_seed,
+        "combined", event_radius=eta,
+    ):
+        blow_up_count += blown
+        exceed = [int(np.sum(~(dmat[:, 0] <= eta))) for dmat in dmats]
+        worst = int(np.argmax(exceed))  # the first cell with the most exceedances
+        lo, hi = wilson_interval(exceed[worst], n_paths)
+        rows.append(
+            ConvergenceRow(
+                epsilon=eps, p_hat=exceed[worst] / n_paths, ci_lo=lo, ci_hi=hi,
+                worst_cell=divmod(worst, len(v_set)), exceed_count=exceed[worst],
+                n_paths=n_paths,
+            )
+        )
+
+    trend_ok = all(
+        rows[k + 1].ci_lo <= rows[k].ci_hi + 1e-12 for k in range(len(rows) - 1)
+    )
+    separated = rows[-1].ci_hi < rows[0].ci_lo
+    return ConvergenceTable(
+        rows=rows, eta=eta, passed=trend_ok and separated, blow_up_count=blow_up_count
     )

@@ -404,6 +404,8 @@ def lipschitz_constant(noise: NoiseSpec, p: float) -> float:
 # ---------------------------------------------------------------------------
 # forcing
 
+_SQ_QUAD = 128  # trapezoid intervals of ForcingSpec.sq_integral for a callback forcing
+
 
 @dataclass(frozen=True)
 class ForcingSpec:
@@ -440,12 +442,12 @@ class ForcingSpec:
             return self._values
         return np.asarray(self.callback(t), dtype=float)
 
-    def sq_integral(self, horizon: float, n_quad: int = 128) -> float:
+    def sq_integral(self, horizon: float) -> float:
         """int_0^T ||g(t)||_L2^2 dt (exact for the time-constant built-ins)."""
         w = self.grid.cell_volume
         if self._values is not None:
             return float(horizon * w * np.sum(self._values**2))
-        ts = np.linspace(0.0, horizon, n_quad + 1)
+        ts = np.linspace(0.0, horizon, _SQ_QUAD + 1)
         vals = np.array([w * np.sum(self.value(t) ** 2) for t in ts])
         return float(np.trapezoid(vals, ts))
 

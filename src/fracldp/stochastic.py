@@ -26,7 +26,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError
-from .grids import EPS_LADDER, NON_NEGATIVE_OR_INF, POSITIVE, UNIT, Range
+from .grids import NON_NEGATIVE_OR_INF, POSITIVE, UNIT, Range
 from .grids import at_least, check_ranges, check_value
 from .grids import array_l2_sq, array_lp_pow, array_seminorm_sq
 from .models import ModelSpec
@@ -36,7 +36,6 @@ from .skeleton import (
     StepKernel,
     TimeGrid,
     evolve_dense,
-    solve_skeleton,
     step_once,
 )
 
@@ -369,13 +368,17 @@ def blow_fraction(summaries: Sequence[PathSummary]) -> float:
 # statistics
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion — behaves at p_hat = 0/1."""
+_WILSON_Z = 1.96  # two-sided 95% normal quantile
+
+
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion — behaves at p_hat = 0/1."""
     if n < 1:
         raise InsufficientSamplesError("Wilson interval needs at least one trial")
     if not (0 <= successes <= n):
         raise DomainError("successes must lie in [0, n]")
     phat = successes / n
+    z = _WILSON_Z
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
@@ -427,13 +430,15 @@ def energy_estimate(summaries: Sequence[PathSummary]) -> tuple[float, float]:
     return mean, half
 
 
+_CURVATURE_SLACK = 0.02  # relative upward curvature allowed at the largest datum
+
+
 def energy_estimate_check(
     model: ModelSpec,
     cfg: SdeConfig,
     datums: Sequence[Field],
     n_paths: int,
     base_seed: int,
-    curvature_slack: float = 0.02,
 ) -> EnergyCheck:
     """Moment growth audit: the expected energy must be affine in ||u0||^2.
 
@@ -442,7 +447,7 @@ def energy_estimate_check(
     non-negative within the widest cell CI (fits on Monte Carlo means jitter
     below zero by sampling noise) and no super-affine curvature: a POSITIVE
     quadratic contribution at the largest datum must stay within twice that CI
-    plus ``curvature_slack`` times the largest mean (short-horizon transients
+    plus ``_CURVATURE_SLACK`` times the largest mean (short-horizon transients
     of the Lp term curve upward by a few percent without threatening the
     affine bound itself; concave saturation is always acceptable).
     """
@@ -471,113 +476,6 @@ def energy_estimate_check(
         curvature = 0.0
     widest = max(c.ci_half for c in cells)
     bulge = max(0.0, curvature) * float(np.max(x)) ** 2
-    curvature_ok = bulge <= 2.0 * widest + curvature_slack * float(np.max(y)) + 1e-12
+    curvature_ok = bulge <= 2.0 * widest + _CURVATURE_SLACK * float(np.max(y)) + 1e-12
     passed = slope >= -widest - 1e-12 and intercept >= -widest - 1e-12 and curvature_ok
     return EnergyCheck(cells=cells, slope=slope, intercept=intercept, curvature=curvature, passed=passed)
-
-
-# ---------------------------------------------------------------------------
-# convergence of shifted paths to the skeleton (uniformly over data/controls)
-
-
-@dataclass
-class ConvergenceRow:
-    epsilon: float
-    p_hat: float
-    ci_lo: float
-    ci_hi: float
-    worst_cell: tuple
-    exceed_count: int
-    n_paths: int
-
-
-@dataclass
-class ConvergenceTable:
-    rows: list
-    eta: float
-    passed: bool
-    blow_up_count: int = 0  # paths that breached linf_guard, over all cells
-
-    def as_rows(self):
-        for r in self.rows:
-            yield {
-                "epsilon": r.epsilon,
-                "p_hat": r.p_hat,
-                "ci_lo": r.ci_lo,
-                "ci_hi": r.ci_hi,
-                "worst_u0": r.worst_cell[0],
-                "worst_control": r.worst_cell[1],
-                "exceed_count": r.exceed_count,
-                "n_paths": r.n_paths,
-            }
-
-
-def uniform_convergence_experiment(
-    model: ModelSpec,
-    u0_set: Sequence[Field],
-    v_set: Sequence[Control],
-    eps_list: Sequence[float],
-    eta: float,
-    n_paths: int,
-    base_seed: int,
-    radius_bound: Optional[float] = None,
-    action_bound: Optional[float] = None,
-) -> ConvergenceTable:
-    """Estimate p(eps) = max over (u0, v) cells of P(||u^eps_v - u_v|| > eta).
-
-    The distance is the combined path norm to the cell's skeleton solution.
-    Pass verdict: p_hat non-increasing along the (decreasing) eps_list within
-    CI slack, and the smallest-eps estimate CI-separated below the largest-eps
-    one. ``radius_bound``/``action_bound`` optionally declare the bounded sets
-    the sweep quantifies over; members violating them are rejected.
-    """
-    if not u0_set or not v_set:
-        raise DomainError("u0_set and v_set must be non-empty")
-    eps_arr = [float(e) for e in eps_list]
-    check_value("eps_list", eps_arr, EPS_LADDER)
-    check_value("eta", eta, POSITIVE)
-    for i, u0 in enumerate(u0_set):
-        norm = float(np.sqrt(array_l2_sq(model.grid, u0.values)))
-        if radius_bound is not None and norm > radius_bound + 1e-9:
-            raise DomainError(f"initial datum {i} has norm {norm:.4g} outside the declared ball {radius_bound}")
-    for j, v in enumerate(v_set):
-        if action_bound is not None and 0.5 * v.l2_sq() > action_bound + 1e-9:
-            raise DomainError(f"control {j} has action {0.5 * v.l2_sq():.4g} outside the declared bound {action_bound}")
-
-    tg = v_set[0].timegrid
-    skeletons = {}
-    for i, u0 in enumerate(u0_set):
-        for j, v in enumerate(v_set):
-            skeletons[(i, j)] = solve_skeleton(model, u0, v).trajectory
-
-    rows = []
-    blow_up_count = 0
-    for e_idx, eps in enumerate(eps_arr):
-        cfg = SdeConfig(epsilon=eps, timegrid=tg)
-        worst = None
-        for i, u0 in enumerate(u0_set):
-            for j, v in enumerate(v_set):
-                offset = ((e_idx * len(u0_set) + i) * len(v_set) + j) * n_paths
-                sums = batch_paths(
-                    model, u0, cfg, n_paths, base_seed,
-                    stream_offset=offset, shift=v, references=[skeletons[(i, j)]],
-                )
-                exceed = sum(1 for s in sums if not (s.dists[0] <= eta))
-                blow_up_count += sum(1 for s in sums if s.blow_step is not None)
-                if worst is None or exceed > worst[0]:
-                    worst = (exceed, (i, j))
-        lo, hi = wilson_interval(worst[0], n_paths)
-        rows.append(
-            ConvergenceRow(
-                epsilon=eps, p_hat=worst[0] / n_paths, ci_lo=lo, ci_hi=hi,
-                worst_cell=worst[1], exceed_count=worst[0], n_paths=n_paths,
-            )
-        )
-
-    trend_ok = all(
-        rows[k + 1].ci_lo <= rows[k].ci_hi + 1e-12 for k in range(len(rows) - 1)
-    )
-    separated = rows[-1].ci_hi < rows[0].ci_lo
-    return ConvergenceTable(
-        rows=rows, eta=eta, passed=trend_ok and separated, blow_up_count=blow_up_count
-    )

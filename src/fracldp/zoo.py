@@ -1,15 +1,17 @@
 """Shipped model builders.
 
-``zoo()`` returns the certified members every validator must pass. The
-oracle builders below it (constant reduction, linear additive, scalar linear)
-deliberately bend the structural rules — constant kappa, zero drift — to
-create closed-form comparison points for the integrators; they are test
-devices, not certified models.
+``PRESETS`` declares each config preset once: its builder and the natural
+grid that builder uses when given none. ``zoo()`` returns the certified
+members every validator must pass. The oracle builders (constant reduction,
+linear additive, scalar linear) deliberately bend the structural rules —
+constant kappa, zero drift — to create closed-form comparison points for the
+integrators; they are test devices, not certified models.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,8 +70,7 @@ def build_model(
 ) -> ModelSpec:
     """Assemble a certified model from bump-parameterized data (config surface)."""
     check_ranges(SimpleNamespace(RANGES=BUILD_RANGES, q=q, n_modes=n_modes, gamma0=gamma0), ConditionError)
-    if grid is None:
-        grid = standard_grid()
+    grid = grid or PRESETS["built"].grid
     if drift_form == "cubic_minus_linear":
         drift = DriftSpec(form="cubic_minus_linear", p=p)
     elif drift_form == "pure_power":
@@ -100,32 +101,24 @@ def build_model(
 def default_model(grid: GridSpec | None = None) -> ModelSpec:
     """The default campaign model: cubic bistable drift, saturated superlinear
     noise (q = 2.5), compact bump data supported in |x| <= L/8."""
-    return build_model(grid or standard_grid())
+    return build_model(grid or PRESETS["default"].grid)
 
 
 def fractional_model(grid: GridSpec | None = None) -> ModelSpec:
     """Fractional-diffusion member (alpha = 0.6), otherwise default data."""
-    return build_model(grid or standard_grid(alpha=0.6))
+    return build_model(grid or PRESETS["fractional"].grid)
 
 
 def pure_power_model(grid: GridSpec | None = None) -> ModelSpec:
     """Odd-power drift with linear-growth noise (q = 2): the benign member."""
-    return build_model(grid or standard_grid(), drift_form="pure_power", noise_form="smooth_power", q=2.0)
+    return build_model(
+        grid or PRESETS["pure-power"].grid, drift_form="pure_power", noise_form="smooth_power", q=2.0
+    )
 
 
 def boundary_growth_model(grid: GridSpec | None = None) -> ModelSpec:
     """Noise at the admissibility boundary q = 1 + p/2 = 3."""
-    return build_model(grid or standard_grid(), q=3.0)
-
-
-def zoo() -> dict:
-    """Certified members keyed by name; all must pass every validator."""
-    return {
-        "default": default_model,
-        "fractional": fractional_model,
-        "pure-power": pure_power_model,
-        "boundary-growth": boundary_growth_model,
-    }
+    return build_model(grid or PRESETS["boundary-growth"].grid, q=3.0)
 
 
 def default_initial_datum(grid: GridSpec, amplitude: float = 1.0, radius: float = 0.5) -> Field:
@@ -165,7 +158,7 @@ def constant_reduction_model(
 ) -> ModelSpec:
     """All data spatially constant (kappa = 1 everywhere, one mode): the PDE
     collapses to a scalar equation, matched path-by-path by a scalar stepper."""
-    grid = grid or GridSpec(dim=1, half_length=2.0, points_per_dim=16, alpha=0.75)
+    grid = grid or PRESETS["constant-reduction"].grid
     drift = DriftSpec() if drift_form == "cubic_minus_linear" else _zero_drift()
     noise = NoiseSpec(
         grid=grid,
@@ -191,7 +184,7 @@ def linear_additive_model(
 ) -> ModelSpec:
     """Zero drift, purely additive noise: the solution is Gaussian with
     closed-form per-mode statistics under the exact integrating factor."""
-    grid = grid or GridSpec(dim=1, half_length=4.0, points_per_dim=32, alpha=0.75)
+    grid = grid or PRESETS["linear-additive"].grid
     noise = NoiseSpec(
         grid=grid,
         n_modes=n_modes,
@@ -215,7 +208,7 @@ def scalar_linear_model(
     constant initial data stay constant, giving the scalar OU process
     dc = -a*c dt + sqrt(eps)*s dW with analytic action (used by the
     large-deviation acceptance probes)."""
-    grid = grid or GridSpec(dim=1, half_length=2.0, points_per_dim=8, alpha=1.0)
+    grid = grid or PRESETS["scalar-linear"].grid
     noise = NoiseSpec(
         grid=grid,
         n_modes=1,
@@ -230,3 +223,34 @@ def scalar_linear_model(
     return ModelSpec(
         grid=grid, drift=_linear_drift(a), noise=noise, forcing=ForcingSpec(grid=grid, form="zero")
     )
+
+
+# ---------------------------------------------------------------------------
+# presets
+
+
+class Preset(NamedTuple):
+    build: Callable[..., ModelSpec]  # build(grid=None) falls back to ``grid``
+    grid: GridSpec  # the preset's natural grid
+
+
+PRESETS = {
+    "default": Preset(default_model, standard_grid()),
+    "fractional": Preset(fractional_model, standard_grid(alpha=0.6)),
+    "pure-power": Preset(pure_power_model, standard_grid()),
+    "boundary-growth": Preset(boundary_growth_model, standard_grid()),
+    "scalar-linear": Preset(scalar_linear_model, standard_grid(points=8, half_length=2.0)),
+    "linear-additive": Preset(linear_additive_model, standard_grid(alpha=0.75, points=32)),
+    "constant-reduction": Preset(
+        constant_reduction_model, standard_grid(alpha=0.75, points=16, half_length=2.0)
+    ),
+    "built": Preset(build_model, standard_grid()),
+}
+
+
+def zoo() -> dict:
+    """Certified members keyed by name; all must pass every validator."""
+    return {
+        name: PRESETS[name].build
+        for name in ("default", "fractional", "pure-power", "boundary-growth")
+    }

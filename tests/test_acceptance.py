@@ -28,6 +28,7 @@ from fracldp.ldp import (
     LdpExperimentPlan,
     estimate_ball_probability,
     fw_bounds_experiment,
+    uniform_convergence_experiment,
 )
 from fracldp.models import SamplingPlan, validate_drift, validate_noise
 from fracldp.rate import (
@@ -50,7 +51,6 @@ from fracldp.stochastic import (
     SdeConfig,
     WienerDriver,
     simulate_sde,
-    uniform_convergence_experiment,
 )
 
 

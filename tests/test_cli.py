@@ -284,6 +284,21 @@ def test_cvs_sweep_manifest_counts_blown_paths(tmp_path):
     assert blown == sum(r["exceed_count"] for r in cells)
 
 
+def test_cvs_sweep_cell_with_every_path_blown_exits_3(tmp_path, capsys):
+    """Superlinear noise (smooth power, q = 3) at a constant datum of 9e5
+    drives every noisy path past the 1e6 guard within a few steps, while the
+    noise-free skeleton, which the tamed drift moves by at most 1 a step,
+    stays below it. The cell has no exceedance frequency to report, as in
+    every other probe."""
+    model = {"preset": "built", "noise_form": "smooth_power", "q": 3.0}
+    cfg = write_config(tmp_path, "cvs-sweep", model, {
+        "eps_list": [1.0, 0.1], "n_paths": 20, "control_amplitudes": [0.0],
+        "data": [{"kind": "constant", "level": 9.0e5}],
+    })
+    assert run_cli("cvs-sweep", cfg, tmp_path / "out") == 3
+    assert "every path blew up" in capsys.readouterr().err
+
+
 def test_starved_optimizer_exits_4(tmp_path):
     cfg = write_config(tmp_path, "rate-min", SCALAR,
                        {"target": "endpoint", "endpoint_level": 40.0,

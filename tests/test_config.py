@@ -29,7 +29,7 @@ from fracldp.models import (
 from fracldp.rate import OptimizerSettings, RateQuery
 from fracldp.skeleton import TimeGrid
 from fracldp.stochastic import SdeConfig
-from fracldp.zoo import scalar_linear_model
+from fracldp.zoo import PRESETS, scalar_linear_model
 
 
 def minimal(name="simulate", **sections):
@@ -70,6 +70,10 @@ def test_grid_defaults_follow_preset():
                                grid={"points_per_dim": 16}))
     assert cfg.grid["points_per_dim"] == 16
     assert cfg.grid["half_length"] == 2.0
+    # an omitted grid section gives every preset its builder's own grid
+    for preset, (builder, _) in PRESETS.items():
+        cfg = parse_config(minimal(model={"preset": preset}))
+        assert build_model_from_config(cfg).grid == builder().grid, preset
 
 
 @pytest.mark.parametrize("name", [

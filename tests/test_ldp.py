@@ -22,6 +22,7 @@ from fracldp.ldp import (
     dz_bounds_experiment,
     estimate_ball_probability,
     fw_bounds_experiment,
+    uniform_convergence_experiment,
     uniformity_sweep,
 )
 from fracldp.rate import (
@@ -33,7 +34,7 @@ from fracldp.rate import (
     minimize_rate,
 )
 from fracldp.skeleton import Control, TimeGrid, solve_skeleton
-from fracldp.stochastic import EstimationError, SdeConfig, batch_paths
+from fracldp.stochastic import EstimationError, SdeConfig, batch_paths, wilson_interval
 from fracldp.zoo import scalar_linear_model
 
 A_COEFF = 1.0
@@ -567,10 +568,12 @@ def test_event_mode_decides_every_pair_as_the_full_mode(lab):
 
 
 def test_event_mode_leaves_probe_results_unchanged(lab, monkeypatch):
-    """fw records and ball probabilities are those of the full mode."""
+    """fw records, ball probabilities and the convergence table are those of
+    the full mode."""
     model, tg, u0 = lab["model"], lab["tg"], lab["u0"]
     plan = make_plan(lab, initial_data=(u0,), eps_list=(0.5, 0.2), n_paths=200,
                      s_levels=(0.2,), linf_guard=0.55)
+    controls = [lab["control"], Control.zero(tg, model.noise.n_modes)]
 
     def run():
         rep = fw_bounds_experiment(plan, [lab["control"]], [lab["rates"][0]],
@@ -580,7 +583,9 @@ def test_event_mode_leaves_probe_results_unchanged(lab, monkeypatch):
                                       side=side, linf_guard=0.55)
             for delta in (0.0, 0.3, math.inf) for side in ("inside", "outside")
         ]
-        return rep.records, rep.blow_up_count, balls
+        table = uniform_convergence_experiment(model, lab["data"], controls, (0.5, 0.2),
+                                               eta=0.45, n_paths=100, base_seed=7)
+        return rep.records, rep.blow_up_count, balls, table
 
     event = run()
     event_cell = ldp._simulate_cell
@@ -603,3 +608,30 @@ def test_fw_sweeps_each_reference_once(lab, monkeypatch):
     fw_bounds_experiment(plan, [lab["control"]], lab["rates"], base_seed=3, n_level_samples=5)
     # one target control, 5 members at s = 0.2, the zero control at s = 0
     assert len(sweeps) == len(lab["data"]) * (1 + 5 + 1)
+
+
+# --- uniform convergence sweep --------------------------------------------
+
+def test_convergence_rows_follow_the_cell_stream_layout(lab):
+    """Each row is the worst of its eps's (datum, control) cells, cell (i, j)
+    at eps index e drawing streams from ((e * n_u0 + i) * n_v + j) * n_paths
+    on, each measured against its own skeleton under its own shift."""
+    model, tg, data = lab["model"], lab["tg"], lab["data"]
+    controls = [lab["control"], Control(tg, np.full((tg.n_steps, model.noise.n_modes), -0.4))]
+    eps_list, eta, n_paths, seed = (0.5, 0.2), 0.6, 100, 4
+    table = uniform_convergence_experiment(model, data, controls, eps_list, eta, n_paths, seed)
+    for e_idx, (eps, row) in enumerate(zip(eps_list, table.rows)):
+        counts = {}
+        for i, u0 in enumerate(data):
+            for j, v in enumerate(controls):
+                offset = ((e_idx * len(data) + i) * len(controls) + j) * n_paths
+                sums = batch_paths(model, u0, SdeConfig(epsilon=eps, timegrid=tg), n_paths, seed,
+                                   stream_offset=offset, shift=v,
+                                   references=[solve_skeleton(model, u0, v).trajectory])
+                counts[i, j] = sum(1 for s in sums if not (s.dists[0] <= eta))
+        assert len(set(counts.values())) > 1  # the worst cell is a real choice
+        worst = max(counts.values())
+        assert row.exceed_count == worst
+        assert row.worst_cell == next(c for c, n in counts.items() if n == worst)
+        assert (row.ci_lo, row.ci_hi) == wilson_interval(worst, n_paths)
+        assert row.p_hat == worst / n_paths

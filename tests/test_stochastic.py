@@ -8,6 +8,7 @@ import pytest
 
 from fracldp import zoo
 from fracldp.grids import DomainError, Field, GridMismatchError, array_l2_sq
+from fracldp.ldp import uniform_convergence_experiment
 from fracldp.skeleton import BlowUpError, Control, TimeGrid, solve_skeleton
 from fracldp.stochastic import (
     InsufficientSamplesError,
@@ -19,7 +20,6 @@ from fracldp.stochastic import (
     energy_estimate,
     energy_estimate_check,
     simulate_sde,
-    uniform_convergence_experiment,
     wilson_interval,
 )
 
