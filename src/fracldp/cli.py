@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +115,8 @@ def _run_simulate(cfg: RunConfig):
     chunks = [(start, end - start) for start, end in zip(starts, starts[1:] + [n])]
     workers = cfg.run["workers"]
     if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
                 _simulate_chunk,

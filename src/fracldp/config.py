@@ -359,9 +359,9 @@ def build_model_from_config(cfg: RunConfig) -> ModelSpec:
 
 
 def _auto_data(preset: str) -> list:
-    """The "auto" data list: constant fields for the presets whose natural
-    initial data are spatially constant, compact bumps otherwise."""
-    if preset in ("scalar-linear", "linear-additive", "constant-reduction"):
+    """The "auto" data list of the preset's natural datum kind
+    (``zoo.PRESETS``): constant fields or compact bumps."""
+    if PRESETS[preset].datum == "constant":
         return [{"kind": "constant", "level": 0.5}, {"kind": "constant", "level": 0.35}]
     return [{"kind": "bump", "radius": 0.5, "amplitude": 1.0},
             {"kind": "bump", "radius": 0.5, "amplitude": 0.7}]

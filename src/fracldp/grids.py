@@ -13,6 +13,7 @@ identity so mixed-resolution bugs fail loudly instead of broadcasting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gamma as _gamma_fn
 from math import pi
 from numbers import Integral, Real
@@ -358,6 +359,7 @@ def array_lp_pow(grid: GridSpec, arr: np.ndarray, p: float) -> np.ndarray:
     return grid.cell_volume * np.sum(np.abs(arr) ** p, axis=_spatial_axes(grid))
 
 
+@lru_cache(maxsize=32)
 def half_spectrum_multipliers(grid: GridSpec) -> np.ndarray:
     """Hermitian-weighted symbol multipliers on the ``rfftn`` half-spectrum.
 
@@ -365,7 +367,8 @@ def half_spectrum_multipliers(grid: GridSpec) -> np.ndarray:
     real field's spectrum is Hermitian and the multipliers are even, so each
     kept bin 1..N/2-1 also stands for its dropped conjugate mirror and gets
     weight 2; the 0 and Nyquist (N/2) bins mirror onto kept bins and get
-    weight 1. The result is read-only, shape (*grid.shape[:-1], N//2 + 1).
+    weight 1. The result is read-only, shape (*grid.shape[:-1], N//2 + 1),
+    and cached per grid: every caller shares one array.
     """
     n = grid.points_per_dim
     half = fractional_symbol(grid).multipliers[..., : n // 2 + 1].copy()

@@ -17,6 +17,11 @@ the +infinity branch surfacing.
 
 The forward map here is the deterministic solver itself (same code path), so
 rate results compose exactly with the skeleton and Monte Carlo modules.
+
+``scipy.optimize`` is imported inside ``_penalty_continuation``, at its one
+L-BFGS-B call, and nowhere at module level: importing this module (and so
+every ``fracldp`` subcommand) does not load scipy, and a solve whose start is
+already inside tolerance never loads it either.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .grids import DomainError, Field, GridMismatchError, array_l2_sq
 from .grids import NON_NEGATIVE, POSITIVE, POSITIVE_OR_INF, at_least, check_ranges, check_value
@@ -403,6 +407,8 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
                 if not np.isfinite(val):
                     raise OptimizationError("penalty objective diverged to non-finite values")
             return (val, grad) if exact else val
+
+        from scipy import optimize  # deferred: loaded only when L-BFGS-B runs
 
         sol = optimize.minimize(
             fun, x, jac=exact, method="L-BFGS-B",

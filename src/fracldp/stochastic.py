@@ -126,10 +126,18 @@ def _mode_weights(model, u0, cfg, driver, n_paths, shift) -> np.ndarray:
         raise GridMismatchError("shift control lives on a different time grid")
     if shift is not None and shift.n_modes != driver.n_modes:
         raise GridMismatchError("shift control mode count does not match the model noise")
-    root = np.sqrt(cfg.epsilon)
-    weights = np.empty((n_paths, tg.n_steps, driver.n_modes))
+    # one reused Philox generator, keyed per stream exactly as
+    # ``driver.with_stream(k).increments`` would seed a fresh one
+    rng = np.random.Generator(np.random.Philox(0))
+    state = rng.bit_generator.state  # a fresh generator's: zero counter, empty buffer
+    counter = state["state"]["counter"]
+    draws = np.empty((n_paths, tg.n_steps, driver.n_modes))
     for b in range(n_paths):
-        weights[b] = root * driver.with_stream(driver.stream_id + b).increments(tg)
+        seq = np.random.SeedSequence(entropy=driver.seed, spawn_key=(driver.stream_id + b,))
+        state["state"] = {"counter": counter, "key": seq.generate_state(2, np.uint64)}
+        rng.bit_generator.state = state
+        rng.standard_normal(out=draws[b])
+    weights = np.sqrt(cfg.epsilon) * (np.sqrt(tg.dt) * draws)
     if shift is not None:
         weights += tg.dt * shift.values
     return weights

@@ -1,11 +1,12 @@
 """Shipped model builders.
 
-``PRESETS`` declares each config preset once: its builder and the natural
-grid that builder uses when given none. ``zoo()`` returns the certified
-members every validator must pass. The oracle builders (constant reduction,
-linear additive, scalar linear) deliberately bend the structural rules —
-constant kappa, zero drift — to create closed-form comparison points for the
-integrators; they are test devices, not certified models.
+``PRESETS`` declares each config preset once: its builder, the natural
+grid that builder uses when given none, and the kind of its natural initial
+datum. ``zoo()`` returns the certified members every validator must pass.
+The oracle builders (constant reduction, linear additive, scalar linear)
+deliberately bend the structural rules — constant kappa, zero drift — to
+create closed-form comparison points for the integrators; they are test
+devices, not certified models.
 """
 
 from __future__ import annotations
@@ -232,19 +233,20 @@ def scalar_linear_model(
 class Preset(NamedTuple):
     build: Callable[..., ModelSpec]  # build(grid=None) falls back to ``grid``
     grid: GridSpec  # the preset's natural grid
+    datum: str  # natural datum kind: "constant" for a spatially constant reduction, else "bump"
 
 
 PRESETS = {
-    "default": Preset(default_model, standard_grid()),
-    "fractional": Preset(fractional_model, standard_grid(alpha=0.6)),
-    "pure-power": Preset(pure_power_model, standard_grid()),
-    "boundary-growth": Preset(boundary_growth_model, standard_grid()),
-    "scalar-linear": Preset(scalar_linear_model, standard_grid(points=8, half_length=2.0)),
-    "linear-additive": Preset(linear_additive_model, standard_grid(alpha=0.75, points=32)),
+    "default": Preset(default_model, standard_grid(), "bump"),
+    "fractional": Preset(fractional_model, standard_grid(alpha=0.6), "bump"),
+    "pure-power": Preset(pure_power_model, standard_grid(), "bump"),
+    "boundary-growth": Preset(boundary_growth_model, standard_grid(), "bump"),
+    "scalar-linear": Preset(scalar_linear_model, standard_grid(points=8, half_length=2.0), "constant"),
+    "linear-additive": Preset(linear_additive_model, standard_grid(alpha=0.75, points=32), "constant"),
     "constant-reduction": Preset(
-        constant_reduction_model, standard_grid(alpha=0.75, points=16, half_length=2.0)
+        constant_reduction_model, standard_grid(alpha=0.75, points=16, half_length=2.0), "constant"
     ),
-    "built": Preset(build_model, standard_grid()),
+    "built": Preset(build_model, standard_grid(), "bump"),
 }
 
 

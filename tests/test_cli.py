@@ -1,9 +1,13 @@
 """End-to-end command-line runs: exit codes, outputs, manifests, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fracldp
 from fracldp import cli
 from fracldp.cli import main
 from fracldp.config import parse_config, serialize_config
@@ -148,6 +152,51 @@ def test_rerun_is_byte_identical(tmp_path):
     assert m1["outputs"]["records.ndjson"] == m2["outputs"]["records.ndjson"]
     assert m1["seed"] == m2["seed"]
     assert m1["tolerances"] == m2["tolerances"]
+
+
+# Runs in a fresh interpreter: prints, after the import and after each
+# subcommand, which heavy modules are loaded.
+_IMPORT_PROBE = """
+import json, sys
+from fracldp.cli import main
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures.process")
+
+seen = {"import": heavy()}
+for name, config, out in json.loads(sys.argv[1]):
+    code = main([name, "--config", config, "--out", out])
+    seen[name] = (code, heavy())
+print(json.dumps(seen))
+"""
+
+LEAN = ("simulate", "skeleton", "level-set", "validate-model", "tail-scan", "cvs-sweep")
+
+
+def test_only_rate_solves_load_scipy(tmp_path):
+    """Importing the CLI and running a subcommand that solves no rate loads
+    neither scipy nor the process pool; a rate solve loads scipy.optimize."""
+    # an endpoint the zero control misses: the solve must run L-BFGS-B
+    settings = {**HAPPY, "rate-min": (SCALAR, {"target": "endpoint", "endpoint_level": 0.2})}
+    runs = []
+    for name in (*LEAN, "rate-min"):
+        model, experiment = settings[name]
+        cfg = write_config(tmp_path, name, model, experiment, fname=f"{name}.json")
+        runs.append([name, str(cfg), str(tmp_path / name)])
+    src = os.path.dirname(os.path.dirname(fracldp.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    for name in LEAN:
+        assert seen[name] == [0, []], name
+    code, loaded = seen["rate-min"]
+    assert code == 0 and "scipy.optimize" in loaded
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracldp.config import (
     ConfigError,
+    build_data,
     build_datum,
     build_grid,
     build_model_from_config,
@@ -26,8 +27,8 @@ from fracldp.models import (
     NoiseSpec,
     SamplingPlan,
 )
-from fracldp.rate import OptimizerSettings, RateQuery
-from fracldp.skeleton import TimeGrid
+from fracldp.rate import OptimizerSettings, RateQuery, g0_map
+from fracldp.skeleton import Control, TimeGrid
 from fracldp.stochastic import SdeConfig
 from fracldp.zoo import PRESETS, scalar_linear_model
 
@@ -71,9 +72,9 @@ def test_grid_defaults_follow_preset():
     assert cfg.grid["points_per_dim"] == 16
     assert cfg.grid["half_length"] == 2.0
     # an omitted grid section gives every preset its builder's own grid
-    for preset, (builder, _) in PRESETS.items():
+    for preset, entry in PRESETS.items():
         cfg = parse_config(minimal(model={"preset": preset}))
-        assert build_model_from_config(cfg).grid == builder().grid, preset
+        assert build_model_from_config(cfg).grid == entry.build().grid, preset
 
 
 @pytest.mark.parametrize("name", [
@@ -308,6 +309,23 @@ def test_build_model_built_preset():
                                       "noise_form": "smooth_power"}))
     model = build_model_from_config(cfg)
     assert model.noise.q == 2.0
+
+
+def test_auto_data_constant_for_spatially_constant_presets():
+    """A preset whose noise-free flow keeps a constant datum spatially
+    constant is a scalar reduction; its "auto" data must be constant fields."""
+    tg = TimeGrid(0.2, 8)
+    n_constant = 0
+    for preset, entry in PRESETS.items():
+        model = entry.build()
+        level = Field(model.grid, np.full(model.grid.shape, 0.5))
+        traj = g0_map(model, level, Control.zero(tg, model.noise.n_modes), tg)
+        if np.ptp(traj.reshape(len(traj), -1), axis=1).max() > 0.0:
+            continue
+        n_constant += 1
+        for datum in build_data("auto", model, preset):
+            assert np.all(datum.values == datum.values.flat[0]), preset
+    assert n_constant == 3  # scalar-linear, linear-additive, constant-reduction
 
 
 def test_build_datum_kinds():

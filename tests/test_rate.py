@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
 from fracldp.models import ModelSpec
@@ -292,7 +293,7 @@ def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch, sol
     assert rate._has_exact_gradients(model)
     counts = {"sweeps": 0, "repeats": 0, "evals": 0, "continuations": 0}
     last = [None]
-    forward, minimize = rate._forward_states, rate.optimize.minimize
+    forward, minimize = rate._forward_states, scipy.optimize.minimize
 
     def counted_forward(model, kernel, u0, weights):
         counts["sweeps"] += 1
@@ -309,7 +310,7 @@ def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch, sol
         return minimize(counted_fun, x0, **kwargs)
 
     monkeypatch.setattr(rate, "_forward_states", counted_forward)
-    monkeypatch.setattr(rate.optimize, "minimize", counted_minimize)
+    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
     rng = np.random.default_rng(11)
     if solve == "endpoint":
         v_true = Control(tg, 0.6 * rng.standard_normal((tg.n_steps, model.noise.n_modes)))

@@ -15,6 +15,7 @@ from fracldp.stochastic import (
     PathSummary,
     SdeConfig,
     WienerDriver,
+    _mode_weights,
     batch_paths,
     blow_fraction,
     energy_estimate,
@@ -75,6 +76,19 @@ def default_setup():
     u0 = zoo.default_initial_datum(m.grid)
     tg = TimeGrid(0.5, 50)
     return m, u0, tg
+
+
+@pytest.mark.parametrize("seed", [3, 2024])
+def test_batch_weights_equal_per_path_driver_increments(default_setup, seed):
+    """The batch draws through one reused generator, re-keyed per stream; each
+    path's weights must still equal a fresh driver's increments bit for bit."""
+    m, u0, tg = default_setup
+    cfg = SdeConfig(epsilon=0.3, timegrid=tg)
+    driver = WienerDriver(m.noise.n_modes, seed, stream_id=17)
+    weights = _mode_weights(m, u0, cfg, driver, 6, None)
+    for b in range(6):
+        expected = np.sqrt(cfg.epsilon) * driver.with_stream(17 + b).increments(tg)
+        assert np.array_equal(weights[b], expected)
 
 
 def test_simulate_sde_bit_reproducible(default_setup):
