@@ -67,7 +67,6 @@ from .skeleton import (
     BlowUpError,
     Control,
     apriori_bound_report,
-    path_norm_components,
     solve_skeleton,
     tail_mass_scan,
 )
@@ -129,7 +128,7 @@ def _run_simulate(cfg: RunConfig):
     records = [{"kind": "path", **rec} for part in parts for rec in part]
     blow = sum(1 for rec in records if rec["blow_up"])
     code = EXIT_BLOWUP if 2 * blow > n else EXIT_OK
-    return records, {"blow_up_count": blow}, code
+    return records, blow, code
 
 
 def _run_skeleton(cfg: RunConfig):
@@ -144,12 +143,12 @@ def _run_skeleton(cfg: RunConfig):
         {"kind": "state", "step": i, "t": t, "l2": l2, "h_alpha_semi": semi, "lp": lp}
         for i, (t, l2, semi, lp) in enumerate(sol.diagnostics_rows())
     ]
-    c_h, l2_v, lp_lp = path_norm_components(model.grid, tg, sol.trajectory, model.drift.p)
+    c_h, l2_v, lp_lp = sol.path_norm_components()
     records.append({
         "kind": "path-norm", "sup_l2": c_h, "l2_h_alpha": l2_v, "lp_lp": lp_lp,
     })
     records.append({"kind": "bound", **apriori_bound_report(model, sol, u0, control).as_dict()})
-    return records, {"blow_up_count": 0}, EXIT_OK
+    return records, 0, EXIT_OK
 
 
 def _run_rate_min(cfg: RunConfig):
@@ -190,7 +189,7 @@ def _run_rate_min(cfg: RunConfig):
         "planted_action": planted_action,
     }
     code = EXIT_OK if result.converged else EXIT_NONCONVERGED
-    return [record], {"blow_up_count": 0}, code
+    return [record], 0, code
 
 
 def _run_level_set(cfg: RunConfig):
@@ -210,7 +209,7 @@ def _run_level_set(cfg: RunConfig):
         "kind": "summary", "level": exp["level"], "n_members": len(level),
         "max_action": max(actions),
     })
-    return records, {"blow_up_count": 0}, EXIT_OK
+    return records, 0, EXIT_OK
 
 
 def _run_mc_ldp(cfg: RunConfig):
@@ -242,7 +241,7 @@ def _run_mc_ldp(cfg: RunConfig):
             })
         rates.append(row)
     if not all_converged:
-        return records, {"blow_up_count": 0}, EXIT_NONCONVERGED
+        return records, 0, EXIT_NONCONVERGED
 
     plan = LdpExperimentPlan(
         model=model, initial_data=tuple(data), eps_list=tuple(exp["eps_list"]),
@@ -266,7 +265,7 @@ def _run_mc_ldp(cfg: RunConfig):
         "kind": "uniformity-verdict", "passed": bool(uni.passed),
         "warning": uni.warning,
     })
-    return records, {"blow_up_count": report.blow_up_count}, EXIT_OK
+    return records, report.blow_up_count, EXIT_OK
 
 
 def _run_validate_model(cfg: RunConfig):
@@ -291,7 +290,7 @@ def _run_validate_model(cfg: RunConfig):
         })
     all_passed = drift_report.passed and noise_report.passed
     records.append({"kind": "verdict", "passed": bool(all_passed)})
-    return records, {"blow_up_count": 0}, EXIT_OK if all_passed else EXIT_CONFIG
+    return records, 0, EXIT_OK if all_passed else EXIT_CONFIG
 
 
 def _run_tail_scan(cfg: RunConfig):
@@ -308,7 +307,7 @@ def _run_tail_scan(cfg: RunConfig):
         radii = [half / 8, half / 4, half / 2, 3 * half / 4]
     curve = tail_mass_scan(sol, radii)
     records = [{"kind": "tail", **row} for row in curve.as_rows()]
-    return records, {"blow_up_count": 0}, EXIT_OK
+    return records, 0, EXIT_OK
 
 
 def _run_cvs_sweep(cfg: RunConfig):
@@ -329,9 +328,10 @@ def _run_cvs_sweep(cfg: RunConfig):
     records.append({
         "kind": "verdict", "passed": bool(table.passed), "eta": table.eta,
     })
-    return records, {"blow_up_count": table.blow_up_count}, EXIT_OK
+    return records, table.blow_up_count, EXIT_OK
 
 
+# each runner returns (records, paths that blew up, exit code)
 EXPERIMENTS = {
     "simulate": _run_simulate,
     "skeleton": _run_skeleton,
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     try:
-        records, info, code = EXPERIMENTS[args.command](cfg)
+        records, blow_up_count, code = EXPERIMENTS[args.command](cfg)
     except (ConfigError, ConditionError, DependencyError, DomainError,
             GridMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -444,7 +444,7 @@ def main(argv=None) -> int:
             data_name: sha256_file(data_path),
             "config.json": sha256_file(echo_path),
         },
-        blow_up_count=info.get("blow_up_count", 0),
+        blow_up_count=blow_up_count,
         tolerances=_numeric_knobs(cfg.experiment),
         # only simulate runs a worker pool
         ignored_flags=(["run.workers"] if cfg.run["workers"] > 1 and args.command != "simulate" else []),

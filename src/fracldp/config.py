@@ -33,18 +33,6 @@ from .skeleton import TimeGrid
 from .stochastic import SdeConfig
 from .zoo import BUILD_RANGES, PRESETS, build_model, default_initial_datum
 
-EXPERIMENT_NAMES = (
-    "simulate",
-    "skeleton",
-    "rate-min",
-    "level-set",
-    "mc-ldp",
-    "validate-model",
-    "tail-scan",
-    "cvs-sweep",
-)
-
-
 class ConfigError(ValueError):
     """Carries the full list of (key, expected, found) validation records."""
 
@@ -210,6 +198,9 @@ _EXPERIMENT_KEYS = {
         "data": ("auto", _DATA),
     },
 }
+
+
+EXPERIMENT_NAMES = tuple(_EXPERIMENT_KEYS)
 
 
 def _fill_section(raw, keys, path, errors, extra_forbidden=()):

@@ -23,7 +23,10 @@ Every probe runs the same campaign: one batch per (epsilon, cell), a cell
 being a datum, an optional shift control and its reference paths. Cell c at
 epsilon index e draws streams from (e * n_cells + c) * n_paths on, so no two
 cells share a path. Blown paths are counted on the report; a cell where
-every path blew up raises ``EstimationError``.
+every path blew up raises ``EstimationError``. The fw and dz probes run
+through ``_probe``: it runs the campaign, sums the blown paths and
+passes the per-epsilon cells to the trend verdict, and each probe supplies
+only its tally of one epsilon's distances into records and cell margins.
 The fw probe and ``estimate_ball_probability`` (d < delta, d >= delta) and
 the convergence sweep (not d <= eta) read only indicators at one radius, so
 they decide each combined-distance (path, reference) event early through
@@ -48,13 +51,7 @@ from .grids import at_least, check_ranges, check_value
 from .models import ModelSpec
 from .rate import BALL_RADIUS, RateResult, g0_map, level_set_controls, sample_level_set
 from .skeleton import Control, TimeGrid, solve_skeleton
-from .stochastic import (
-    DIST_KINDS,
-    EstimationError,
-    SdeConfig,
-    batch_paths,
-    wilson_interval,
-)
+from .stochastic import EstimationError, SdeConfig, batch_paths, wilson_interval
 
 
 class DependencyError(RuntimeError):
@@ -83,7 +80,6 @@ class LdpExperimentPlan:
     timegrid: TimeGrid
     s_levels: tuple = ()
     n_paths: int = 400
-    path_norm: str = "combined"
     slack: float = 0.5
     initial_radius: Optional[float] = None
     linf_guard: float = 1.0e6
@@ -96,7 +92,6 @@ class LdpExperimentPlan:
             "list of floats >= 0",
         ),
         "n_paths": at_least(100),
-        "path_norm": DIST_KINDS,
         "slack": POSITIVE,
         "linf_guard": POSITIVE,
     }
@@ -284,6 +279,35 @@ def _trend_verdict(
     return lower_curve, upper_curve, verdict, straddling
 
 
+def _probe(probe, plan, cells, base_seed, which, event_radius, tally, notes, upper_trend=True):
+    """Run one probe's campaign and aggregate it into an ``LdpReport``.
+
+    ``tally(eps, dmats)`` turns the distance matrices of one epsilon into
+    (records, lower cells, upper cells), a cell being a (margin, censored)
+    pair; ``_trend_verdict`` judges the cells and the blown paths of every
+    epsilon are summed into the report.
+    """
+    records, lower_by_eps, upper_by_eps = [], [], []
+    blow_up_count = 0
+    for eps, dmats, blown in _campaign(
+        plan.model, plan.timegrid, plan.eps_list, plan.n_paths, plan.linf_guard, cells,
+        base_seed, which, event_radius=event_radius,
+    ):
+        blow_up_count += blown
+        recs, lower, upper = tally(eps, dmats)
+        records.extend(recs)
+        lower_by_eps.append(lower)
+        upper_by_eps.append(upper)
+    lower_curve, upper_curve, verdict, straddling = _trend_verdict(
+        lower_by_eps, upper_by_eps, plan.slack, upper_trend
+    )
+    return LdpReport(
+        probe=probe, eps_list=list(plan.eps_list), slack=plan.slack, records=records,
+        lower_margins=lower_curve, upper_margins=upper_curve, verdict=verdict,
+        indeterminate_cells=straddling, notes=notes, blow_up_count=blow_up_count,
+    )
+
+
 def _check_rate_grid(rates, n_data: int, n_targets: int, label: str):
     if rates is None:
         raise DependencyError(f"missing rate results for the {label} probe")
@@ -347,23 +371,14 @@ def fw_bounds_experiment(
     # level k's members occupy columns bounds[k]:bounds[k + 1]
     bounds = np.cumsum([len(controls)] + [len(m) for m in level_controls])
 
-    records = []
-    lower_by_eps = []
-    upper_by_eps = []
-    blow_up_count = 0
-    for eps, dmats, blown in _campaign(
-        model, tg, plan.eps_list, plan.n_paths, plan.linf_guard, cells, base_seed,
-        plan.path_norm, event_radius=plan.delta,
-    ):
-        blow_up_count += blown
-        lower_cells = []
-        upper_cells = []
+    def tally(eps, dmats):
+        records, lower, upper = [], [], []
         for d_idx, dmat in enumerate(dmats):
             for j in range(len(controls)):
                 stats = _event_stats(int(np.sum(dmat[:, j] < plan.delta)), plan.n_paths, eps)
                 rate = rates[d_idx][j].value
                 margin = stats["eps_ln_p"] + rate
-                lower_cells.append((margin, stats["censored"]))
+                lower.append((margin, stats["censored"]))
                 records.append({
                     "probe": "fw-lower", "eps": eps, "datum": d_idx, "target": f"path-{j}",
                     **stats, "rate": rate, "margin": margin,
@@ -372,31 +387,17 @@ def fw_bounds_experiment(
                 set_dist = dmat[:, bounds[k]:bounds[k + 1]].min(axis=1)
                 stats = _event_stats(int(np.sum(set_dist >= plan.delta)), plan.n_paths, eps)
                 margin = stats["eps_ln_p"] + s
-                upper_cells.append((margin, stats["censored"]))
+                upper.append((margin, stats["censored"]))
                 records.append({
                     "probe": "fw-upper", "eps": eps, "datum": d_idx, "target": f"level-{s:g}",
                     **stats, "rate": s, "margin": margin,
                 })
-        lower_by_eps.append(lower_cells)
-        upper_by_eps.append(upper_cells)
+        return records, lower, upper
 
-    lower_curve, upper_curve, verdict, straddling = _trend_verdict(
-        lower_by_eps, upper_by_eps, plan.slack
-    )
-    return LdpReport(
-        probe="fw",
-        eps_list=list(plan.eps_list),
-        slack=plan.slack,
-        records=records,
-        lower_margins=lower_curve,
-        upper_margins=upper_curve,
-        verdict=verdict,
-        indeterminate_cells=straddling,
-        notes=(
-            "level-set distances use the finite sampled set (an over-estimate of "
-            "the true distance), so upper-probe margins are conservatively inflated"
-        ),
-        blow_up_count=blow_up_count,
+    return _probe(
+        "fw", plan, cells, base_seed, "combined", plan.delta, tally,
+        "level-set distances use the finite sampled set (an over-estimate of "
+        "the true distance), so upper-probe margins are conservatively inflated",
     )
 
 
@@ -447,56 +448,35 @@ def dz_bounds_experiment(
         if ref.shape != shape:
             raise GridMismatchError(f"set {spec.name!r} reference shape mismatch")
 
-    records = []
-    lower_by_eps = []
-    upper_by_eps = []
-    blow_up_count = 0
-    cells = [(u0, None, refs) for u0 in plan.initial_data]
-    for eps, dmats, blown in _campaign(
-        plan.model, plan.timegrid, plan.eps_list, plan.n_paths, plan.linf_guard, cells,
-        base_seed, "l2rms",
-    ):
-        blow_up_count += blown
-        lower_cells = []
-        upper_cells = []
+    def tally(eps, dmats):
+        records, lower, upper = [], [], []
         for k, spec in enumerate(sets):
             is_open = spec.kind == "open-ball"
-            cells = []
+            rows = []
             for d_idx, dmat in enumerate(dmats):
                 d = dmat[:, k]
                 hits = int(np.sum(d < spec.radius if is_open else d >= spec.radius))
-                cells.append({
+                rows.append({
                     "probe": "dz-open" if is_open else "dz-closed",
                     "eps": eps, "datum": d_idx, "target": spec.name,
                     **_event_stats(hits, plan.n_paths, eps), "rate": rates[k][d_idx].value,
                 })
-            terms = [c["eps_ln_p"] for c in cells]
-            rate_vals = [c["rate"] for c in cells]
-            censored_any = any(c["censored"] for c in cells)
+            terms = [r["eps_ln_p"] for r in rows]
+            rate_vals = [r["rate"] for r in rows]
+            censored_any = any(r["censored"] for r in rows)
             if is_open:
                 margin = min(terms) + max(rate_vals)
-                lower_cells.append((margin, censored_any))
+                lower.append((margin, censored_any))
             else:
                 margin = max(terms) + min(rate_vals)
-                upper_cells.append((margin, censored_any))
-            records.extend({**c, "margin": margin} for c in cells)
-        lower_by_eps.append(lower_cells)
-        upper_by_eps.append(upper_cells)
+                upper.append((margin, censored_any))
+            records.extend({**r, "margin": margin} for r in rows)
+        return records, lower, upper
 
-    lower_curve, upper_curve, verdict, straddling = _trend_verdict(
-        lower_by_eps, upper_by_eps, plan.slack, upper_trend=False
-    )
-    return LdpReport(
-        probe="dz",
-        eps_list=list(plan.eps_list),
-        slack=plan.slack,
-        records=records,
-        lower_margins=lower_curve,
-        upper_margins=upper_curve,
-        verdict=verdict,
-        indeterminate_cells=straddling,
-        notes="set events and rate constants share the time-averaged L2 geometry",
-        blow_up_count=blow_up_count,
+    cells = [(u0, None, refs) for u0 in plan.initial_data]
+    return _probe(
+        "dz", plan, cells, base_seed, "l2rms", math.inf, tally,
+        "set events and rate constants share the time-averaged L2 geometry", upper_trend=False,
     )
 
 

@@ -48,16 +48,16 @@ def signed_power(u: np.ndarray, exponent: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** exponent
 
 
-def smooth_bump(grid: GridSpec, radius: float, amplitude: float = 1.0, center: float = 0.0) -> Field:
+def smooth_bump(grid: GridSpec, radius: float, amplitude: float = 1.0) -> Field:
     """Compactly supported mollifier bump: amplitude*exp(1 - 1/(1-(r/radius)^2)).
 
-    Support is the open ball |x - center| < radius; infinitely differentiable.
+    Support is the open ball |x| < radius; infinitely differentiable.
     """
     if radius <= 0:
         raise DomainError(f"bump radius must be positive, got {radius}")
     r = np.zeros(grid.shape)
     for c in grid.coords():
-        r = r + (c - center) ** 2
+        r = r + c**2
     r = np.sqrt(r)
     s = np.clip(r / radius, 0.0, 1.0 - 1e-12)
     vals = np.where(r < radius, amplitude * np.exp(1.0 - 1.0 / (1.0 - s**2)), 0.0)
@@ -487,6 +487,11 @@ class ModelSpec:
 # validation
 
 
+# the sampled times span [0, T_MAX]; synthesized fields reach FIELD_AMPLITUDE_MAX
+T_MAX = 1.0
+FIELD_AMPLITUDE_MAX = 20.0
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """How densely to sample the structural conditions.
@@ -498,17 +503,13 @@ class SamplingPlan:
 
     n_samples: int = 20000
     u_max: float = 1.0e3
-    t_max: float = 1.0
     n_fields: int = 48
-    field_amplitude_max: float = 20.0
     seed: int = 1234
 
     RANGES: ClassVar[dict] = {
         "n_samples": at_least(100),
         "u_max": POSITIVE,
-        "t_max": NON_NEGATIVE,
         "n_fields": at_least(1),
-        "field_amplitude_max": POSITIVE,
     }
 
     def __post_init__(self) -> None:
@@ -537,7 +538,6 @@ class ConditionCheck:
 class ValidationReport:
     checks: list
     constants: dict
-    certificates: dict
 
     @property
     def passed(self) -> bool:
@@ -554,7 +554,6 @@ class ValidationReport:
             "passed": self.passed,
             "checks": [c.as_dict() for c in self.checks],
             "constants": self.constants,
-            "certificates": self.certificates,
         }
 
 
@@ -690,9 +689,10 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     """Sample the three drift conditions and certify lambda1, lambda2.
 
     Margins are normalized by the local term magnitude (see module docstring);
-    the pass threshold is -1e-9. The certificates are the largest constants
-    whose coercivity (lambda1) and monotonicity (lambda2) margins pass at the
-    declared psi bounds: 0.0 when not even 1e-12 passes, capped at 2^20. They
+    the pass threshold is -1e-9. The report's constants are the certificates
+    ``lambda1`` and ``lambda2``: the largest constants whose coercivity
+    (lambda1) and monotonicity (lambda2) margins pass at the declared psi
+    bounds, 0.0 when not even 1e-12 passes, capped at 2^20. They
     come from the same per-time pass that computes the margins, which
     evaluates F(t, u) and F(t, u2) once per time: a per-sample closed form
     finds the binding sample, and a bisection of the computed predicate over
@@ -702,7 +702,7 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     rng = np.random.default_rng(plan.seed)
     u = _scalar_samples(plan, rng)
     u2 = rng.permutation(u)
-    ts = np.linspace(0.0, plan.t_max, 5)
+    ts = np.linspace(0.0, T_MAX, 5)
     coords = grid.coords() if grid is not None else [np.zeros(1)]
     p = drift.p
     du = u - u2
@@ -735,9 +735,7 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
         ConditionCheck(name, worst[name][0], worst[name][0] >= -MARGIN_TOL, len(u) * len(ts), worst[name][1])
         for name in ("drift-coercivity", "drift-growth", "drift-monotonicity")
     ]
-    return ValidationReport(
-        checks=checks, constants={}, certificates={cert: c.value() for cert, c in certificates.items()}
-    )
+    return ValidationReport(checks=checks, constants={cert: c.value() for cert, c in certificates.items()})
 
 
 def _synth_fields(grid: GridSpec, plan: SamplingPlan, rng: np.random.Generator) -> list[np.ndarray]:
@@ -745,7 +743,7 @@ def _synth_fields(grid: GridSpec, plan: SamplingPlan, rng: np.random.Generator) 
     bump multiples, and constants."""
     out = []
     x = grid.coords()
-    amps = np.geomspace(0.05, plan.field_amplitude_max, max(plan.n_fields // 3, 2))
+    amps = np.geomspace(0.05, FIELD_AMPLITUDE_MAX, max(plan.n_fields // 3, 2))
     for j in range(plan.n_fields):
         a = amps[j % len(amps)]
         kind = j % 3
@@ -782,7 +780,7 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     q = noise.q
     grid = noise.grid
     coords = grid.coords()
-    ts = np.linspace(0.0, plan.t_max, 3)
+    ts = np.linspace(0.0, T_MAX, 3)
     checks = []
 
     # per-mode scalar conditions
@@ -875,4 +873,4 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     checks.append(
         ConditionCheck("exponent-range", float(min(q - 2.0, q_hi - q)), noise_exponent_range(p).ok(q), 1)
     )
-    return ValidationReport(checks=checks, constants=constants, certificates={})
+    return ValidationReport(checks=checks, constants=constants)

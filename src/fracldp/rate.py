@@ -67,16 +67,18 @@ def g0_map(model: ModelSpec, u0: Field, v: Control, tg: Optional[TimeGrid] = Non
 
 @dataclass(frozen=True)
 class OptimizerSettings:
+    """Budgets and the residual tolerance of one penalty continuation.
+
+    The first penalty weight mu (``_PENALTY0``) and the L-BFGS-B gradient
+    tolerance (``_GRADIENT_TOL``) are ``rate`` constants, not settings.
+    """
+
     max_iters: int = 400
-    gradient_tol: float = 1e-9
-    penalty0: float = 10.0
     max_continuations: int = 16
     residual_tol: float = 1e-4
 
     RANGES: ClassVar[dict] = {
         "max_iters": at_least(1),
-        "gradient_tol": POSITIVE,
-        "penalty0": POSITIVE,
         "max_continuations": at_least(1),
         "residual_tol": POSITIVE,
     }
@@ -131,6 +133,8 @@ class RateResult:
 BALL_RADIUS = {"inside": POSITIVE_OR_INF, "outside": POSITIVE}
 
 _RETREAT = 1.0e12  # objective value handed to the line search when a probe blows up
+_PENALTY0 = 10.0  # mu of the first continuation
+_GRADIENT_TOL = 1e-9  # L-BFGS-B projected-gradient tolerance ("gtol")
 
 
 def _apply_propagator(kernel: StepKernel, lam: np.ndarray) -> np.ndarray:
@@ -355,7 +359,8 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
     best-residual iterate seen; the start counts, so a feasible warm start is
     never lost to a low-penalty wander. Three continuations without a 1% gain
     end the run as infeasible. Converged results carry the minimizer's action
-    as value, the rest +inf.
+    as value, the rest +inf. The first mu (``_PENALTY0``) and the L-BFGS-B
+    gradient tolerance (``_GRADIENT_TOL``) are module constants.
     """
     tg = kernel.timegrid
     exact = _has_exact_gradients(model)
@@ -391,7 +396,7 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
         except BlowUpError:
             pass
 
-    mu = st.penalty0
+    mu = _PENALTY0
     res, x = min(((residual(z, mu), z) for z in starts), key=lambda c: c[0])
     best = (res, x.copy(), mu)
     stall = 0
@@ -412,7 +417,7 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
 
         sol = optimize.minimize(
             fun, x, jac=exact, method="L-BFGS-B",
-            options={"maxiter": st.max_iters, "gtol": st.gradient_tol, "ftol": 1e-15},
+            options={"maxiter": st.max_iters, "gtol": _GRADIENT_TOL, "ftol": 1e-15},
         )
         x = sol.x
         total_iters += int(sol.nit)

@@ -223,6 +223,11 @@ class SkeletonSolution:
     def terminal(self) -> Field:
         return Field(self.grid, self.trajectory[-1])
 
+    def path_norm_components(self) -> tuple[float, float, float]:
+        """(sup-in-time L2, L2-in-time full H^alpha, Lp-in-time Lp) of the
+        trajectory, reduced from the stored per-step series."""
+        return _reduce_series(self.timegrid, self.p, self.l2_sq, self.halpha_semi_sq, self.lp_p)
+
     def diagnostics_rows(self):
         """Rows (t, l2, halpha_semi, lp) — norms, not squares — for CSV export."""
         ts = self.times()
@@ -272,10 +277,9 @@ def evolve_dense(
     traj, hats = forward_states(model, kernel, u0, weights, guard)
     traj.setflags(write=False)
     all_hats = np.concatenate([kernel.rfft(u0.values)[None], hats])
+    l2_sq, semi_sq, lp_p = _norm_series(grid, traj, p, all_hats)
     return SkeletonSolution(
-        grid=grid, timegrid=tg, trajectory=traj, l2_sq=array_l2_sq(grid, traj),
-        halpha_semi_sq=array_seminorm_sq(grid, kernel.half_multipliers, all_hats),
-        lp_p=array_lp_pow(grid, traj, p), p=p,
+        grid=grid, timegrid=tg, trajectory=traj, l2_sq=l2_sq, halpha_semi_sq=semi_sq, lp_p=lp_p, p=p,
     )
 
 
@@ -325,7 +329,11 @@ def path_norm_components(
     time integrals use the trapezoid rule on the step grid. ``hat`` is as in
     ``_norm_series``.
     """
-    l2_sq, semi_sq, lp_p = _norm_series(grid, traj, p, hat)
+    return _reduce_series(timegrid, p, *_norm_series(grid, traj, p, hat))
+
+
+def _reduce_series(timegrid: TimeGrid, p: float, l2_sq, semi_sq, lp_p) -> tuple[float, float, float]:
+    """``path_norm_components`` of the per-time series of ``_norm_series``."""
     ts = timegrid.times()
     c_h = float(np.sqrt(np.max(l2_sq)))
     l2_v = float(np.sqrt(np.trapezoid(l2_sq + semi_sq, ts)))

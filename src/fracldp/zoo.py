@@ -7,6 +7,12 @@ The oracle builders (constant reduction, linear additive, scalar linear)
 deliberately bend the structural rules — constant kappa, zero drift — to
 create closed-form comparison points for the integrators; they are test
 devices, not certified models.
+
+The bump data of ``build_model`` share one support radius, ``DATA_RADIUS``:
+kappa has amplitude ``KAPPA_AMPLITUDE``, the forcing ``FORCING_AMPLITUDE``,
+and the per-mode coefficients of the noise family fall geometrically by the
+factor ``MODE_DECAY``. The oracle builders fix their constant data inside
+their bodies.
 """
 
 from __future__ import annotations
@@ -23,18 +29,23 @@ from .models import ConditionError, DriftSpec, ForcingSpec, ModelSpec, NoiseSpec
 # model.q, model.n_modes and model.gamma0 keys read these same objects
 BUILD_RANGES = {"q": NoiseSpec.RANGES["q"], "n_modes": NoiseSpec.RANGES["n_modes"], "gamma0": POSITIVE}
 
+DATA_RADIUS = 0.5  # support radius of kappa, of every sigma1 mode and of the forcing
+KAPPA_AMPLITUDE = 0.5
+FORCING_AMPLITUDE = 0.2
+MODE_DECAY = 2.0  # ratio of consecutive noise-mode coefficients
+
 
 def standard_grid(alpha: float = 1.0, points: int = 128, half_length: float = 4.0) -> GridSpec:
     return GridSpec(dim=1, half_length=half_length, points_per_dim=points, alpha=alpha)
 
 
-def _mode_coefficients(n_modes: int, q: float, gamma0: float, decay: float = 2.0):
+def _mode_coefficients(n_modes: int, q: float, gamma0: float):
     k = np.arange(n_modes)
-    gamma = gamma0 * decay ** (-k.astype(float))
+    gamma = gamma0 * MODE_DECAY ** (-k.astype(float))
     beta = gamma.copy()
     alpha = gamma * max(1.0, q * q / 4.0)
     # declared tail of the idealized geometric family beyond the truncation
-    tail = (2.0 + max(1.0, q * q / 4.0)) * gamma0 * decay ** (-float(n_modes)) / (1.0 - 1.0 / decay)
+    tail = (2.0 + max(1.0, q * q / 4.0)) * gamma0 * MODE_DECAY ** (-float(n_modes)) / (1.0 - 1.0 / MODE_DECAY)
     return alpha, beta, gamma, tail
 
 
@@ -61,13 +72,8 @@ def build_model(
     n_modes: int = 4,
     gamma0: float = 0.04,
     saturation: float = 0.1,
-    kappa_amplitude: float = 0.5,
-    kappa_radius: float = 0.5,
     sigma1_amplitude: float = 0.15,
-    sigma1_radius: float = 0.5,
     forcing_form: str = "bump",
-    forcing_amplitude: float = 0.2,
-    forcing_radius: float = 0.5,
 ) -> ModelSpec:
     """Assemble a certified model from bump-parameterized data (config surface)."""
     check_ranges(SimpleNamespace(RANGES=BUILD_RANGES, q=q, n_modes=n_modes, gamma0=gamma0), ConditionError)
@@ -86,8 +92,8 @@ def build_model(
         grid=grid,
         n_modes=n_modes,
         q=q,
-        kappa=smooth_bump(grid, radius=kappa_radius, amplitude=kappa_amplitude),
-        sigma1=_sigma1_stack(grid, n_modes, sigma1_amplitude, sigma1_radius),
+        kappa=smooth_bump(grid, radius=DATA_RADIUS, amplitude=KAPPA_AMPLITUDE),
+        sigma1=_sigma1_stack(grid, n_modes, sigma1_amplitude, DATA_RADIUS),
         coeff_alpha=c_alpha,
         coeff_beta=c_beta,
         coeff_gamma=c_gamma,
@@ -95,7 +101,7 @@ def build_model(
         saturation=saturation,
         tail_bound=tail,
     )
-    forcing = ForcingSpec(grid=grid, form=forcing_form, amplitude=forcing_amplitude, radius=forcing_radius)
+    forcing = ForcingSpec(grid=grid, form=forcing_form, amplitude=FORCING_AMPLITUDE, radius=DATA_RADIUS)
     return ModelSpec(grid=grid, drift=drift, noise=noise, forcing=forcing)
 
 
@@ -149,24 +155,18 @@ def _linear_drift(a: float) -> DriftSpec:
     )
 
 
-def constant_reduction_model(
-    grid: GridSpec | None = None,
-    drift_form: str = "cubic_minus_linear",
-    q: float = 2.5,
-    sigma1_value: float = 0.2,
-    gamma0: float = 0.09,
-    forcing_value: float = 0.1,
-) -> ModelSpec:
-    """All data spatially constant (kappa = 1 everywhere, one mode): the PDE
-    collapses to a scalar equation, matched path-by-path by a scalar stepper."""
+def constant_reduction_model(grid: GridSpec | None = None) -> ModelSpec:
+    """All data spatially constant (cubic drift, kappa = 1 everywhere, one mode
+    with sigma1 = 0.2, forcing 0.1): the PDE collapses to a scalar equation,
+    matched path-by-path by a scalar stepper."""
     grid = grid or PRESETS["constant-reduction"].grid
-    drift = DriftSpec() if drift_form == "cubic_minus_linear" else _zero_drift()
+    q, gamma0 = 2.5, 0.09
     noise = NoiseSpec(
         grid=grid,
         n_modes=1,
         q=q,
         kappa=Field(grid, np.ones(grid.shape)),
-        sigma1=np.full((1, *grid.shape), sigma1_value),
+        sigma1=np.full((1, *grid.shape), 0.2),
         coeff_alpha=np.array([gamma0 * max(1.0, q * q / 4.0)]),
         coeff_beta=np.array([gamma0]),
         coeff_gamma=np.array([gamma0]),
@@ -175,23 +175,22 @@ def constant_reduction_model(
     )
     forcing = ForcingSpec(
         grid=grid, form="custom-callback",
-        callback=lambda t, vals=np.full(grid.shape, forcing_value): vals,
+        callback=lambda t, vals=np.full(grid.shape, 0.1): vals,
     )
-    return ModelSpec(grid=grid, drift=drift, noise=noise, forcing=forcing)
+    return ModelSpec(grid=grid, drift=DriftSpec(), noise=noise, forcing=forcing)
 
 
-def linear_additive_model(
-    grid: GridSpec | None = None, n_modes: int = 2, sigma1_amplitude: float = 0.3
-) -> ModelSpec:
-    """Zero drift, purely additive noise: the solution is Gaussian with
-    closed-form per-mode statistics under the exact integrating factor."""
+def linear_additive_model(grid: GridSpec | None = None) -> ModelSpec:
+    """Zero drift, purely additive noise on two modes: the solution is Gaussian
+    with closed-form per-mode statistics under the exact integrating factor."""
     grid = grid or PRESETS["linear-additive"].grid
+    n_modes = 2
     noise = NoiseSpec(
         grid=grid,
         n_modes=n_modes,
         q=2.0,
         kappa=Field(grid, np.zeros(grid.shape)),
-        sigma1=_sigma1_stack(grid, n_modes, sigma1_amplitude, grid.half_length / 2),
+        sigma1=_sigma1_stack(grid, n_modes, 0.3, grid.half_length / 2),
         coeff_alpha=np.ones(n_modes),
         coeff_beta=np.ones(n_modes),
         coeff_gamma=np.ones(n_modes),

@@ -10,7 +10,7 @@ import pytest
 import fracldp
 from fracldp import cli
 from fracldp.cli import main
-from fracldp.config import parse_config, serialize_config
+from fracldp.config import EXPERIMENT_NAMES, parse_config, serialize_config
 from fracldp.persist import read_manifest, read_ndjson, sha256_file
 
 SCALAR = {"preset": "scalar-linear"}
@@ -117,6 +117,10 @@ def test_mc_ldp_emits_cells_and_verdicts(tmp_path):
     assert verdict["eps_list"] == [0.5, 0.2]
 
 
+def test_every_config_experiment_has_a_subcommand():
+    assert set(cli.EXPERIMENTS) == set(EXPERIMENT_NAMES)
+
+
 def test_validate_model_passes_for_admissible_preset(tmp_path):
     model, experiment = HAPPY["validate-model"]
     cfg = write_config(tmp_path, "validate-model", model, experiment)
@@ -126,6 +130,8 @@ def test_validate_model_passes_for_admissible_preset(tmp_path):
     verdict = next(r for r in records if r["kind"] == "verdict")
     assert verdict["passed"] is True
     assert all(r["passed"] for r in records if r["kind"] == "condition")
+    drift = next(r for r in records if r["kind"] == "constants" and r["suite"] == "drift")
+    assert {"lambda1", "lambda2"} <= set(drift["constants"])
 
 
 def test_tail_scan_mass_decreases_with_radius(tmp_path):
@@ -171,12 +177,14 @@ for name, config, out in json.loads(sys.argv[1]):
 print(json.dumps(seen))
 """
 
-LEAN = ("simulate", "skeleton", "level-set", "validate-model", "tail-scan", "cvs-sweep")
+LEAN = ("simulate", "skeleton", "level-set", "mc-ldp", "validate-model", "tail-scan", "cvs-sweep")
 
 
 def test_only_rate_solves_load_scipy(tmp_path):
-    """Importing the CLI and running a subcommand that solves no rate loads
-    neither scipy nor the process pool; a rate solve loads scipy.optimize."""
+    """Importing the CLI and running a subcommand that runs no L-BFGS-B loads
+    neither scipy nor the process pool (the rate solves of mc-ldp start from
+    an exact least-squares control); a rate solve that iterates loads
+    scipy.optimize."""
     # an endpoint the zero control misses: the solve must run L-BFGS-B
     settings = {**HAPPY, "rate-min": (SCALAR, {"target": "endpoint", "endpoint_level": 0.2})}
     runs = []

@@ -117,8 +117,6 @@ def test_plan_rejects_bad_scalars(lab):
         make_plan(lab, linf_guard=0.0)
     with pytest.raises(DomainError):
         make_plan(lab, initial_data=())
-    with pytest.raises(DomainError):
-        make_plan(lab, path_norm="sup")
 
 
 def test_plan_rejects_foreign_grid(lab):
