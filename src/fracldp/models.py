@@ -524,15 +524,6 @@ class ConditionCheck:
     samples: int
     witness: Optional[dict] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "margin": self.margin,
-            "passed": bool(self.passed),
-            "samples": self.samples,
-            "witness": self.witness,
-        }
-
 
 @dataclass
 class ValidationReport:
@@ -548,13 +539,6 @@ class ValidationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [c.as_dict() for c in self.checks],
-            "constants": self.constants,
-        }
 
 
 MARGIN_TOL = 1e-9

@@ -67,11 +67,7 @@ def g0_map(model: ModelSpec, u0: Field, v: Control, tg: Optional[TimeGrid] = Non
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Budgets and the residual tolerance of one penalty continuation.
-
-    The first penalty weight mu (``_PENALTY0``) and the L-BFGS-B gradient
-    tolerance (``_GRADIENT_TOL``) are ``rate`` constants, not settings.
-    """
+    """Budgets and the residual tolerance of one penalty continuation."""
 
     max_iters: int = 400
     max_continuations: int = 16
@@ -359,8 +355,7 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
     best-residual iterate seen; the start counts, so a feasible warm start is
     never lost to a low-penalty wander. Three continuations without a 1% gain
     end the run as infeasible. Converged results carry the minimizer's action
-    as value, the rest +inf. The first mu (``_PENALTY0``) and the L-BFGS-B
-    gradient tolerance (``_GRADIENT_TOL``) are module constants.
+    as value, the rest +inf.
     """
     tg = kernel.timegrid
     exact = _has_exact_gradients(model)

@@ -7,12 +7,6 @@ The oracle builders (constant reduction, linear additive, scalar linear)
 deliberately bend the structural rules — constant kappa, zero drift — to
 create closed-form comparison points for the integrators; they are test
 devices, not certified models.
-
-The bump data of ``build_model`` share one support radius, ``DATA_RADIUS``:
-kappa has amplitude ``KAPPA_AMPLITUDE``, the forcing ``FORCING_AMPLITUDE``,
-and the per-mode coefficients of the noise family fall geometrically by the
-factor ``MODE_DECAY``. The oracle builders fix their constant data inside
-their bodies.
 """
 
 from __future__ import annotations

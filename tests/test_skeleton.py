@@ -323,6 +323,20 @@ def test_path_norm_components_constant_trajectory():
     assert lp_lp == pytest.approx((2.0 * lp_norm(u0, 4.0) ** 4) ** 0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(zoo.PRESETS))
+def test_solution_path_norms_match_trajectory_definition(name):
+    """The components reduced from a solution's stored series agree with the
+    definition applied to its trajectory, on every preset and at several
+    control amplitudes."""
+    m = zoo.PRESETS[name].build()
+    u0 = zoo.default_initial_datum(m.grid)
+    tg = TimeGrid(0.25, 64)
+    for amp in (0.0, 0.3, -1.0):
+        sol = solve_skeleton(m, u0, Control(tg, np.full((tg.n_steps, m.noise.n_modes), amp)))
+        want = path_norm_components(m.grid, tg, sol.trajectory, m.drift.p)
+        assert sol.path_norm_components() == pytest.approx(want, rel=1e-12)
+
+
 def test_path_distance_selectors():
     m = zoo.default_model()
     g = m.grid
