@@ -23,7 +23,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def _run_skeleton(cfg: RunConfig):
     records.append({
         "kind": "path-norm", "sup_l2": c_h, "l2_h_alpha": l2_v, "lp_lp": lp_lp,
     })
-    records.append({"kind": "bound", **apriori_bound_report(model, sol, u0, control).as_dict()})
+    records.append({"kind": "bound", **asdict(apriori_bound_report(model, sol, u0, control))})
     return records, 0, EXIT_OK
 
 

@@ -21,7 +21,7 @@ natural geometry rather than silently rescaling it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,15 +54,6 @@ class RunConfig:
     timegrid: dict
     experiment: dict
     run: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "grid": dict(self.grid),
-            "model": dict(self.model),
-            "timegrid": dict(self.timegrid),
-            "experiment": dict(self.experiment),
-            "run": dict(self.run),
-        }
 
 
 _ANY = Range(lambda v: True, "")
@@ -325,7 +316,7 @@ def parse_config(text: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical JSON echo of a config (defaults included); round-trips."""
-    return json.dumps(cfg.as_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:

@@ -134,9 +134,6 @@ class LdpReport:
     def passed(self) -> bool:
         return self.verdict != "fail"
 
-    def as_rows(self):
-        yield from self.records
-
 
 def _simulate_cell(model, cfg, n_paths, base_seed, stream_offset, cell, which,
                    event_radius=math.inf):

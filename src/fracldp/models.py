@@ -32,7 +32,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError, GridSpec, lp_norm
-from .grids import NON_NEGATIVE, POSITIVE, Range, at_least, check_ranges, is_num
+from .grids import NON_NEGATIVE, POSITIVE, Range, at_least, check_ranges, check_value, is_num
 
 DRIFT_FORMS = ("cubic_minus_linear", "pure_power", "custom-callback")
 NOISE_FORMS = ("smooth_power", "saturated_power", "custom-callback")
@@ -53,8 +53,7 @@ def smooth_bump(grid: GridSpec, radius: float, amplitude: float = 1.0) -> Field:
 
     Support is the open ball |x| < radius; infinitely differentiable.
     """
-    if radius <= 0:
-        raise DomainError(f"bump radius must be positive, got {radius}")
+    check_value("radius", radius, POSITIVE)
     r = np.zeros(grid.shape)
     for c in grid.coords():
         r = r + c**2
@@ -93,16 +92,17 @@ class DriftSpec:
     callback: Optional[Callable] = None
     deriv_callback: Optional[Callable] = None
 
-    RANGES: ClassVar[dict] = {"p": Range(lambda v: is_num(v) and v > 2, "float > 2")}
+    RANGES: ClassVar[dict] = {
+        "p": Range(lambda v: is_num(v) and v > 2, "float > 2"),
+        "lambda1": POSITIVE,
+        "lambda2": POSITIVE,
+        **{f"psi{i}_bound": NON_NEGATIVE for i in range(1, 5)},
+    }
 
     def __post_init__(self) -> None:
         if self.form not in DRIFT_FORMS:
             raise ConditionError(f"unknown drift form {self.form!r}; expected one of {DRIFT_FORMS}")
         check_ranges(self, ConditionError)
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise ConditionError("lambda1 and lambda2 must be positive")
-        if min(self.psi1_bound, self.psi2_bound, self.psi3_bound, self.psi4_bound) < 0:
-            raise ConditionError("psi bounds must be non-negative")
         if self.form == "cubic_minus_linear" and self.p != 4.0:
             raise ConditionError("cubic_minus_linear is a p = 4 drift")
         if self.form == "custom-callback" and self.callback is None:
@@ -339,10 +339,6 @@ def hs_norm_sq(noise: NoiseSpec, t: float, u: Field) -> float:
 # -- derived growth/Lipschitz constants -------------------------------------
 
 
-def _kappa_norm(noise: NoiseSpec, r: float) -> float:
-    return lp_norm(noise.kappa, r)
-
-
 def growth_constant(noise: NoiseSpec, p: float, eps: float) -> float:
     """Constant C(eps) in the split HS bound
     ||sigma(t,u)||_HS^2 <= eps*||u||_Lp^p + 2*sum_k||sigma1_k||^2 + C(eps).
@@ -350,13 +346,12 @@ def growth_constant(noise: NoiseSpec, p: float, eps: float) -> float:
     Derived from Holder (exponents p/q, p/(p-q)) and Young's inequality; the
     kappa norm involved is ||kappa||_{L^{2p/(p-q)}}.
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    check_value("eps", eps, POSITIVE)
     q = noise.q
     if not (q < p):
         raise ConditionError("growth split requires q < p")
-    base = 2.0 * float(np.sum(noise.coeff_beta)) * _kappa_norm(noise, 2.0) ** 2
-    a = 2.0 * float(np.sum(noise.coeff_gamma)) * _kappa_norm(noise, 2.0 * p / (p - q)) ** 2
+    base = 2.0 * float(np.sum(noise.coeff_beta)) * lp_norm(noise.kappa, 2.0) ** 2
+    a = 2.0 * float(np.sum(noise.coeff_gamma)) * lp_norm(noise.kappa, 2.0 * p / (p - q)) ** 2
     if a == 0.0:
         return base
     young = (1.0 - q / p) * (q / (p * eps)) ** (q / (p - q)) * a ** (p / (p - q))
@@ -378,8 +373,8 @@ def linear_growth_constants(noise: NoiseSpec, p: float) -> tuple[float, float]:
     base = 2*sum beta_k*||kappa||_L2^2;  c = 2*sum gamma_k*||kappa||_X^2 with
     X = 4p/(p-2(q-1)) (the L-inf limit at the boundary q = 1+p/2).
     """
-    base = 2.0 * float(np.sum(noise.coeff_beta)) * _kappa_norm(noise, 2.0) ** 2
-    c = 2.0 * float(np.sum(noise.coeff_gamma)) * _kappa_norm(noise, _boundary_exponent(p, noise.q)) ** 2
+    base = 2.0 * float(np.sum(noise.coeff_beta)) * lp_norm(noise.kappa, 2.0) ** 2
+    c = 2.0 * float(np.sum(noise.coeff_gamma)) * lp_norm(noise.kappa, _boundary_exponent(p, noise.q)) ** 2
     return base, c
 
 
@@ -389,13 +384,13 @@ def lipschitz_constant(noise: NoiseSpec, p: float) -> float:
     """
     q = noise.q
     s_alpha = float(np.sum(noise.coeff_alpha))
-    term1 = (2.0 / p) * s_alpha * _kappa_norm(noise, 4.0 * p / (p - 2.0)) ** 2 * max(p - 2.0, 1.0)
+    term1 = (2.0 / p) * s_alpha * lp_norm(noise.kappa, 4.0 * p / (p - 2.0)) ** 2 * max(p - 2.0, 1.0)
     denom = p - 2.0 * (q - 1.0)
     factor = max(denom / (q - 1.0), 1.0) if denom > 1e-12 else 1.0
     term2 = (
         (4.0 * (q - 1.0) / p)
         * s_alpha
-        * _kappa_norm(noise, _boundary_exponent(p, q)) ** 2
+        * lp_norm(noise.kappa, _boundary_exponent(p, q)) ** 2
         * factor
     )
     return term1 + term2
@@ -553,11 +548,29 @@ def _scalar_samples(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
     return u
 
 
-def _normalized_min(margin: np.ndarray, scale: np.ndarray):
-    """Minimum of margin / max(1, scale) and its index."""
-    norm = margin / np.maximum(1.0, scale)
+def _normalized_min(margin, scale):
+    """Minimum of margin / max(1, scale) and its index (0 for a scalar)."""
+    norm = np.ravel(margin / np.maximum(1.0, scale))
     idx = int(np.argmin(norm))
     return float(norm[idx]), idx
+
+
+class _WorstMargins:
+    """Per sampled condition, the smallest normalized margin seen and its
+    witness. A sample replaces the worst only when strictly smaller, so a tie
+    keeps the first one seen; conditions report in the order first offered."""
+
+    def __init__(self) -> None:
+        self.worst: dict = {}
+
+    def offer(self, name: str, margin, scale, witness: Callable[[int], dict]) -> None:
+        """Offer margin / max(1, scale); ``witness(i)`` describes sample i."""
+        m, i = _normalized_min(margin, scale)
+        if name not in self.worst or m < self.worst[name][0]:
+            self.worst[name] = (m, witness(i))
+
+    def checks(self, samples: int) -> list:
+        return [ConditionCheck(name, m, m >= -MARGIN_TOL, samples, wit) for name, (m, wit) in self.worst.items()]
 
 
 def _linear_condition(a, b, c, lam):
@@ -691,35 +704,28 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     p = drift.p
     du = u - u2
     grow = drift.psi2_bound * np.abs(u) ** (p - 1.0)
-    # coercivity and monotonicity read a(t) - lam*b + c with b, c fixed in t:
-    # name -> (certificate, declared lam, b, c)
-    linear = {
-        "drift-coercivity": ("lambda1", drift.lambda1, np.abs(u) ** p, drift.psi1_bound),
-        "drift-monotonicity": (
-            "lambda2", drift.lambda2,
-            (signed_power(u, p - 1.0) - signed_power(u2, p - 1.0)) * du, drift.psi4_bound * du**2,
-        ),
-    }
+    # coercivity and monotonicity read a(t) - lam*b + c with b, c fixed in t
+    coercive_b, coercive_c = np.abs(u) ** p, drift.psi1_bound
+    mono_b = (signed_power(u, p - 1.0) - signed_power(u2, p - 1.0)) * du
+    mono_c = drift.psi4_bound * du**2
 
-    worst = {}
-    certificates = {"lambda1": _Certificate(), "lambda2": _Certificate()}
+    worst = _WorstMargins()
+    lambda1_cert, lambda2_cert = _Certificate(), _Certificate()
     for t in ts:
         f = np.asarray(drift.value(t, coords, u), dtype=float)
         f2 = np.asarray(drift.value(t, coords, u2), dtype=float)
-        a = {"drift-coercivity": f * u, "drift-monotonicity": (f - f2) * du}
-        found = {"drift-growth": _normalized_min(grow + drift.psi3_bound - np.abs(f), np.abs(f) + grow)}
-        for name, (cert, lam, b, c) in linear.items():
-            found[name] = _normalized_min(*_linear_condition(a[name], b, c, lam))
-            certificates[cert].add(a[name], b, c)
-        for name, (m, i) in found.items():
-            if name not in worst or m < worst[name][0]:
-                at = {"u1": float(u[i]), "u2": float(u2[i])} if name == "drift-monotonicity" else {"u": float(u[i])}
-                worst[name] = (m, {"t": float(t), **at})
-    checks = [
-        ConditionCheck(name, worst[name][0], worst[name][0] >= -MARGIN_TOL, len(u) * len(ts), worst[name][1])
-        for name in ("drift-coercivity", "drift-growth", "drift-monotonicity")
-    ]
-    return ValidationReport(checks=checks, constants={cert: c.value() for cert, c in certificates.items()})
+        coercive_a, mono_a = f * u, (f - f2) * du
+        at_u = lambda i: {"t": float(t), "u": float(u[i])}
+        worst.offer("drift-coercivity", *_linear_condition(coercive_a, coercive_b, coercive_c, drift.lambda1), at_u)
+        worst.offer("drift-growth", grow + drift.psi3_bound - np.abs(f), np.abs(f) + grow, at_u)
+        worst.offer(
+            "drift-monotonicity", *_linear_condition(mono_a, mono_b, mono_c, drift.lambda2),
+            lambda i: {"t": float(t), "u1": float(u[i]), "u2": float(u2[i])},
+        )
+        lambda1_cert.add(coercive_a, coercive_b, coercive_c)
+        lambda2_cert.add(mono_a, mono_b, mono_c)
+    constants = {"lambda1": lambda1_cert.value(), "lambda2": lambda2_cert.value()}
+    return ValidationReport(checks=worst.checks(len(u) * len(ts)), constants=constants)
 
 
 def _synth_fields(grid: GridSpec, plan: SamplingPlan, rng: np.random.Generator) -> list[np.ndarray]:
@@ -763,29 +769,26 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     u2 = rng.permutation(u)
     q = noise.q
     grid = noise.grid
-    coords = grid.coords()
     ts = np.linspace(0.0, T_MAX, 3)
-    checks = []
 
     # per-mode scalar conditions
-    worst_lip, worst_gr = None, None
+    worst = _WorstMargins()
     for t in ts:
         for k in range(noise.n_modes):
             a_k, b_k, g_k = noise.coeff_alpha[k], noise.coeff_beta[k], noise.coeff_gamma[k]
             s_1, s_2 = noise.sigma2_mode(t, k, u), noise.sigma2_mode(t, k, u2)
             lip_rhs = a_k * (1.0 + np.abs(u) ** (q - 2.0) + np.abs(u2) ** (q - 2.0)) * (u - u2) ** 2
             lip_lhs = (s_1 - s_2) ** 2
-            m, i = _normalized_min(lip_rhs - lip_lhs, lip_rhs + lip_lhs)
-            if worst_lip is None or m < worst_lip[0]:
-                worst_lip = (m, {"t": float(t), "mode": k, "u1": float(u[i]), "u2": float(u2[i])})
+            worst.offer(
+                "noise-lipschitz", lip_rhs - lip_lhs, lip_rhs + lip_lhs,
+                lambda i: {"t": float(t), "mode": k, "u1": float(u[i]), "u2": float(u2[i])},
+            )
             gr_rhs = b_k + g_k * np.abs(u) ** q
             gr_lhs = s_1**2
-            m2, i2 = _normalized_min(gr_rhs - gr_lhs, gr_rhs + gr_lhs)
-            if worst_gr is None or m2 < worst_gr[0]:
-                worst_gr = (m2, {"t": float(t), "mode": k, "u": float(u[i2])})
-    n_pts = len(u) * len(ts) * noise.n_modes
-    checks.append(ConditionCheck("noise-lipschitz", worst_lip[0], worst_lip[0] >= -MARGIN_TOL, n_pts, worst_lip[1]))
-    checks.append(ConditionCheck("noise-growth", worst_gr[0], worst_gr[0] >= -MARGIN_TOL, n_pts, worst_gr[1]))
+            worst.offer(
+                "noise-growth", gr_rhs - gr_lhs, gr_rhs + gr_lhs, lambda i: {"t": float(t), "mode": k, "u": float(u[i])}
+            )
+    checks = worst.checks(len(u) * len(ts) * noise.n_modes)
 
     # integrated Hilbert-Schmidt bounds on synthesized fields
     fields = _synth_fields(grid, plan, rng)
@@ -801,37 +804,26 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     c_lip = lipschitz_constant(noise, p)
     constants["hs_lipschitz_c"] = c_lip
 
-    worst_split = {eps: None for eps in eps_list}
-    worst_lin = None
-    worst_hlip = None
-    t0 = 0.0
+    # each field's modes at t = 0, shared by its HS norm and its pair difference
+    modes = [noise.mode_values(0.0, vals) for vals in fields]
+    worst = _WorstMargins()
     for j, vals in enumerate(fields):
-        hs = float(w * np.sum(noise.mode_values(t0, vals) ** 2))
+        nxt = (j + 1) % len(fields)
+        at_j = lambda i: {"field": j}
+        hs = float(w * np.sum(modes[j] ** 2))
         lp_p = w * np.sum(np.abs(vals) ** p)
         l2 = np.sqrt(w * np.sum(vals**2))
         for eps in eps_list:
             bound = eps * lp_p + 2.0 * sig1_sq + constants[f"growth_constant_eps_{eps}"]
-            m = (bound - hs) / max(1.0, bound + hs)
-            if worst_split[eps] is None or m < worst_split[eps][0]:
-                worst_split[eps] = (m, {"field": j})
+            worst.offer(f"hs-split-eps-{eps}", bound - hs, bound + hs, at_j)
         bound = 2.0 * sig1_sq + base_lin + c_lin * (1.0 + lp_p ** 0.5) * l2
-        m = (bound - hs) / max(1.0, bound + hs)
-        if worst_lin is None or m < worst_lin[0]:
-            worst_lin = (m, {"field": j})
-        other = fields[(j + 1) % len(fields)]
-        diff_modes = noise.mode_values(t0, vals) - noise.mode_values(t0, other)
-        hs_diff = float(w * np.sum(diff_modes**2))
-        lp_other = w * np.sum(np.abs(other) ** p)
-        dl2 = np.sqrt(w * np.sum((vals - other) ** 2))
+        worst.offer("hs-linear", bound - hs, bound + hs, at_j)
+        hs_diff = float(w * np.sum((modes[j] - modes[nxt]) ** 2))
+        lp_other = w * np.sum(np.abs(fields[nxt]) ** p)
+        dl2 = np.sqrt(w * np.sum((vals - fields[nxt]) ** 2))
         bound = c_lip * (1.0 + lp_p ** 0.5 + lp_other ** 0.5) * dl2
-        m = (bound - hs_diff) / max(1.0, bound + hs_diff)
-        if worst_hlip is None or m < worst_hlip[0]:
-            worst_hlip = (m, {"fields": (j, (j + 1) % len(fields))})
-    for eps in eps_list:
-        m, wit = worst_split[eps]
-        checks.append(ConditionCheck(f"hs-split-eps-{eps}", m, m >= -MARGIN_TOL, len(fields), wit))
-    checks.append(ConditionCheck("hs-linear", worst_lin[0], worst_lin[0] >= -MARGIN_TOL, len(fields), worst_lin[1]))
-    checks.append(ConditionCheck("hs-lipschitz", worst_hlip[0], worst_hlip[0] >= -MARGIN_TOL, len(fields), worst_hlip[1]))
+        worst.offer("hs-lipschitz", bound - hs_diff, bound + hs_diff, lambda i: {"fields": (j, nxt)})
+    checks += worst.checks(len(fields))
 
     # summability of the declared family (finite + declared tail)
     total = float(np.sum(noise.coeff_alpha + noise.coeff_beta + noise.coeff_gamma)) + noise.tail_bound

@@ -5,7 +5,9 @@ rerun with identical config and seed produces byte-identical files (criterion
 checked by checksum). CSV is a flat export with the sorted union of keys as
 header; nested values are embedded as JSON strings. All writes go through a
 temp file in the target directory followed by an atomic rename, so readers
-never observe a half-written artifact.
+never observe a half-written artifact. Result dataclasses, the manifest
+included, reach JSON through ``dataclasses.asdict`` (``json_ready`` applies
+it), so no result type restates its own fields in a serializer.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import json
 import os
 import tempfile
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -145,25 +147,12 @@ class RunManifest:
     wall_clock_s: float
     outputs: dict
     blow_up_count: int = 0
-    tolerances: Optional[dict] = None
+    tolerances: dict = dataclasses.field(default_factory=dict)
     ignored_flags: list = dataclasses.field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "artifact_version": self.artifact_version,
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "wall_clock_s": self.wall_clock_s,
-            "outputs": dict(self.outputs),
-            "blow_up_count": self.blow_up_count,
-            "tolerances": dict(self.tolerances or {}),
-            "ignored_flags": list(self.ignored_flags),
-        }
 
 
 def write_manifest(path: str, manifest: RunManifest) -> None:
-    payload = json.dumps(json_ready(manifest.as_dict()), sort_keys=True, indent=2, allow_nan=False)
+    payload = json.dumps(json_ready(manifest), sort_keys=True, indent=2, allow_nan=False)
     _atomic_write_bytes(path, (payload + "\n").encode("utf-8"))
 
 

@@ -114,16 +114,6 @@ class RateResult:
     iterations: int
     penalty: float
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "residual": self.residual,
-            "converged": bool(self.converged),
-            "iterations": self.iterations,
-            "penalty": self.penalty,
-            "action": None if self.minimizer is None else action(self.minimizer),
-        }
-
 
 # radius per side of constrained_rate_minimum: inf is the whole space, whose complement is empty
 BALL_RADIUS = {"inside": POSITIVE_OR_INF, "outside": POSITIVE}

@@ -220,9 +220,6 @@ class SkeletonSolution:
     def times(self) -> np.ndarray:
         return self.timegrid.times()
 
-    def terminal(self) -> Field:
-        return Field(self.grid, self.trajectory[-1])
-
     def path_norm_components(self) -> tuple[float, float, float]:
         """(sup-in-time L2, L2-in-time full H^alpha, Lp-in-time Lp) of the
         trajectory, reduced from the stored per-step series."""
@@ -393,18 +390,6 @@ class BoundReport:
     radius: float
     c1: float
 
-    def as_dict(self) -> dict:
-        return {
-            "observed": self.observed,
-            "bound": self.bound,
-            "passed": bool(self.passed),
-            "sup_l2_sq": self.sup_l2_sq,
-            "v_integral": self.v_integral,
-            "lp_integral": self.lp_integral,
-            "radius": self.radius,
-            "c1": self.c1,
-        }
-
 
 def _cumtrapz(y: np.ndarray, ts: np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
@@ -455,9 +440,6 @@ class LipschitzReport:
     d_out: float
     d_in: float
     ratio: float
-
-    def as_dict(self) -> dict:
-        return {"d_out": self.d_out, "d_in": self.d_in, "ratio": self.ratio}
 
 
 def lipschitz_experiment(

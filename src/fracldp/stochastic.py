@@ -62,11 +62,10 @@ class WienerDriver:
     seed: int
     stream_id: int = 0
 
+    RANGES: ClassVar[dict] = {"n_modes": at_least(1), "stream_id": at_least(0)}
+
     def __post_init__(self) -> None:
-        if self.n_modes < 1:
-            raise DomainError("n_modes must be at least 1")
-        if self.stream_id < 0:
-            raise DomainError("stream_id must be non-negative")
+        check_ranges(self)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(
@@ -412,15 +411,6 @@ class EnergyCheck:
     curvature: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "curvature": self.curvature,
-            "passed": bool(self.passed),
-            "cells": [vars(c) for c in self.cells],
-        }
-
 
 def energy_estimate(summaries: Sequence[PathSummary]) -> tuple[float, float]:
     """Batch mean and 95% CI half-width of the path energy functional.
@@ -434,7 +424,7 @@ def energy_estimate(summaries: Sequence[PathSummary]) -> tuple[float, float]:
             f"need at least 100 surviving paths for a moment estimate, have {vals.size}"
         )
     mean = float(np.mean(vals))
-    half = float(1.96 * np.std(vals, ddof=1) / np.sqrt(vals.size))
+    half = float(_WILSON_Z * np.std(vals, ddof=1) / np.sqrt(vals.size))
     return mean, half
 
 

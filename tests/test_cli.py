@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, outputs, manifests, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import fracldp
 from fracldp import cli
 from fracldp.cli import main
 from fracldp.config import EXPERIMENT_NAMES, parse_config, serialize_config
-from fracldp.persist import read_manifest, read_ndjson, sha256_file
+from fracldp.persist import RunManifest, read_manifest, read_ndjson, sha256_file
 
 SCALAR = {"preset": "scalar-linear"}
 
@@ -58,6 +59,7 @@ def test_happy_path_writes_records_and_manifest(tmp_path, name):
     records = read_ndjson(out / "records.ndjson")
     assert records, "runs must produce at least one record"
     man = read_manifest(out / "manifest.json")
+    assert set(man) == {f.name for f in dataclasses.fields(RunManifest)}
     assert man["experiment"] == name
     assert man["seed"] == 0
     for fname, digest in man["outputs"].items():

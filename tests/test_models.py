@@ -110,6 +110,9 @@ def test_drift_rejects_bad_forms():
         DriftSpec(form="pure_power", p=1.5)  # superlinear means p > 2
     with pytest.raises(ConditionError):
         DriftSpec(form="custom-callback", p=4.0)  # callback missing
+    for name, bad in (("lambda1", np.nan), ("lambda1", np.inf), ("psi1_bound", np.nan)):
+        with pytest.raises(ConditionError, match=f"^{name}: "):
+            DriftSpec(**{name: bad})
 
 
 def test_drift_overflow_reports_index():
@@ -340,6 +343,8 @@ def test_growth_constant_additive_guard_and_monotonicity():
     c1 = growth_constant(noise, p, 0.1)
     c2 = growth_constant(noise, p, 1.0)
     assert c1 > c2 > 0  # smaller eps buys a bigger constant
+    with pytest.raises(DomainError):
+        growth_constant(noise, p, np.nan)
 
 
 def test_linear_growth_boundary_uses_sup_norm():
@@ -407,6 +412,64 @@ def test_validate_noise_flags_overclaimed_growth():
     assert not rep.check("noise-growth").passed
 
 
+WITNESS_PLAN = SamplingPlan(n_samples=2000, n_fields=7, seed=3)
+
+
+def _normalized(margin, scale):
+    return float((margin / np.maximum(1.0, scale))[0])
+
+
+def _drift_margin_at(drift, coords, name, w):
+    """Normalized margin of one drift condition, recomputed at its witness."""
+    p, t = drift.p, w["t"]
+    if name == "drift-monotonicity":
+        u1, u2 = np.array([w["u1"]]), np.array([w["u2"]])
+        du = u1 - u2
+        a = (drift.value(t, coords, u1) - drift.value(t, coords, u2)) * du
+        b = (signed_power(u1, p - 1.0) - signed_power(u2, p - 1.0)) * du
+        c = drift.psi4_bound * du**2
+        return _normalized(a - drift.lambda2 * b + c, np.abs(a) + drift.lambda2 * np.abs(b) + c)
+    u = np.array([w["u"]])
+    f = drift.value(t, coords, u)
+    if name == "drift-coercivity":
+        a, b, c = f * u, np.abs(u) ** p, drift.psi1_bound
+        return _normalized(a - drift.lambda1 * b + c, np.abs(a) + drift.lambda1 * np.abs(b) + c)
+    grow = drift.psi2_bound * np.abs(u) ** (p - 1.0)
+    return _normalized(grow + drift.psi3_bound - np.abs(f), np.abs(f) + grow)
+
+
+def _noise_margin_at(noise, name, w):
+    """Normalized margin of one per-mode noise condition, recomputed at its witness."""
+    t, k, q = w["t"], w["mode"], noise.q
+    if name == "noise-lipschitz":
+        u1, u2 = np.array([w["u1"]]), np.array([w["u2"]])
+        rhs = noise.coeff_alpha[k] * (1.0 + np.abs(u1) ** (q - 2.0) + np.abs(u2) ** (q - 2.0)) * (u1 - u2) ** 2
+        lhs = (noise.sigma2_mode(t, k, u1) - noise.sigma2_mode(t, k, u2)) ** 2
+    else:
+        u = np.array([w["u"]])
+        rhs = noise.coeff_beta[k] + noise.coeff_gamma[k] * np.abs(u) ** q
+        lhs = noise.sigma2_mode(t, k, u) ** 2
+    return _normalized(rhs - lhs, rhs + lhs)
+
+
+@pytest.mark.parametrize("preset", sorted(zoo.PRESETS))
+def test_sampled_witnesses_reproduce_their_margins(preset):
+    """Each sampled check's witness is the sample its worst margin came from."""
+    m = zoo.PRESETS[preset].build()
+    coords = m.grid.coords()
+    drift_rep = validate_drift(m.drift, WITNESS_PLAN, grid=m.grid)
+    for name in ("drift-coercivity", "drift-growth", "drift-monotonicity"):
+        c = drift_rep.check(name)
+        assert c.witness["t"] in np.linspace(0.0, T_MAX, 5)
+        assert _drift_margin_at(m.drift, coords, name, c.witness) == pytest.approx(c.margin, abs=1e-12), name
+    noise_rep = validate_noise(m.noise, m.drift.p, WITNESS_PLAN)
+    for name in ("noise-lipschitz", "noise-growth"):
+        c = noise_rep.check(name)
+        assert c.witness["t"] in np.linspace(0.0, T_MAX, 3)
+        assert 0 <= c.witness["mode"] < m.noise.n_modes
+        assert _noise_margin_at(m.noise, name, c.witness) == pytest.approx(c.margin, abs=1e-12), name
+
+
 # ---------------------------------------------------------------------------
 # forcing
 
@@ -420,6 +483,10 @@ def test_forcing_zero_and_bump():
     vals = b.value(1.0)
     assert vals.max() == pytest.approx(0.3, rel=1e-12)
     assert np.all(vals[np.abs(grid.axis()) >= 0.5] == 0.0)
+    with pytest.raises(DomainError):
+        smooth_bump(grid, radius=np.nan)
+    with pytest.raises(DomainError):
+        ForcingSpec(grid=grid, form="bump", radius=np.nan)
 
 
 def test_forcing_sq_integral_constant_in_time():

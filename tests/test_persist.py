@@ -125,9 +125,20 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(path, man)
     loaded = read_manifest(path)
-    assert loaded == man.as_dict()
+    assert loaded == dataclasses.asdict(man)
     assert loaded["outputs"] == {"records.ndjson": "cafe"}
     # manifest bytes are deterministic too
     raw = path.read_bytes()
     write_manifest(path, man)
     assert path.read_bytes() == raw
+
+
+def test_manifest_defaults_write_empty_containers(tmp_path):
+    man = RunManifest(config_hash="deadbeef", artifact_version="0.1.0",
+                      experiment="skeleton", seed=0, wall_clock_s=0.5, outputs={})
+    path = tmp_path / "manifest.json"
+    write_manifest(path, man)
+    loaded = read_manifest(path)
+    assert loaded["tolerances"] == {}
+    assert loaded["ignored_flags"] == []
+    assert loaded["blow_up_count"] == 0

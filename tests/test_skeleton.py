@@ -369,7 +369,7 @@ def test_apriori_bound_holds_for_default_model():
     assert rep.passed
     assert rep.observed <= rep.bound
     assert rep.observed >= rep.sup_l2_sq * (1 - 1e-12)
-    d = rep.as_dict()
+    d = dataclasses.asdict(rep)
     assert set(d) == {
         "observed", "bound", "passed", "sup_l2_sq", "v_integral",
         "lp_integral", "radius", "c1",

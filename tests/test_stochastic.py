@@ -30,10 +30,12 @@ from fracldp.stochastic import (
 
 
 def test_driver_validation():
-    with pytest.raises(DomainError):
-        WienerDriver(n_modes=0, seed=1)
-    with pytest.raises(DomainError):
-        WienerDriver(n_modes=2, seed=1, stream_id=-1)
+    for n_modes in (0, 2.5, True):
+        with pytest.raises(DomainError):
+            WienerDriver(n_modes=n_modes, seed=1)
+    for stream_id in (-1, np.nan):
+        with pytest.raises(DomainError):
+            WienerDriver(n_modes=2, seed=1, stream_id=stream_id)
 
 
 def test_driver_reproducible_and_stream_distinct():
