@@ -15,9 +15,9 @@ cell whose interval is compatible with both verdicts makes the report
 *indeterminate* rather than failed.
 
 Ball events around a reference path use the full product path norm; set
-events for the open/closed probes use the time-averaged L2 distance — the
-same smooth norm the constrained rate minimizer works in, so measured
-frequencies and rate constants refer to one geometry.
+events for the open/closed probes use the "l2rms" distance (time-RMS L2) of
+``skeleton.distance_weights``, the smooth norm ``constrained_rate_minimum``
+works in, so measured frequencies and rate constants refer to one geometry.
 
 Every probe runs the same campaign: one batch per (epsilon, cell), a cell
 being a datum, an optional shift control and its reference paths. Cell c at

@@ -39,6 +39,7 @@ from .skeleton import (
     Control,
     StepKernel,
     TimeGrid,
+    distance_weights,
     path_distance,
     solve_skeleton,
 )
@@ -137,58 +138,54 @@ def _has_exact_gradients(model: ModelSpec) -> bool:
     return model.noise.separable or model.noise.sigma2_deriv_callback is not None
 
 
-def _path_penalty(grid, tg, target_path):
-    """mu times the squared time-RMS L2 distance to a target path; the residual is the distance."""
-    c = 1.0 / (tg.n_steps + 1)
+def _smooth_distance(grid, tg, kind, ref):
+    """``(dist_sq, w, D)`` of a ``distance_weights`` kind to ``ref``, a path or
+    a field held over time: ``dist_sq(states)`` gives d^2 and the differences
+    u_k - ref_k, and d(d^2)/du_k = (2 cv w_k / D)(u_k - ref_k)."""
+    w, norm = distance_weights(kind, tg)
+
+    def dist_sq(states):
+        diffs = states - ref
+        return float(np.sum(w * array_l2_sq(grid, diffs))) / norm, diffs
+
+    return dist_sq, w, norm
+
+
+def _quadratic_penalty(grid, tg, kind, ref):
+    """mu d^2 for the smooth distance ``kind`` to ``ref`` and its state partials
+    mu d(d^2)/du; the residual is d."""
+    dist_sq, w, norm = _smooth_distance(grid, tg, kind, ref)
+    coef = (2.0 * grid.cell_volume * w / norm).reshape(-1, *([1] * grid.dim))
 
     def penalty(states, mu):
-        diffs = states - target_path
-        dist_sq = c * float(grid.cell_volume * np.sum(diffs**2))
-        return mu * dist_sq, mu * ((2.0 * c * grid.cell_volume) * diffs), float(np.sqrt(dist_sq))
-
-    return penalty
-
-
-def _endpoint_penalty(grid, target_endpoint):
-    """mu times the squared L2 distance at the horizon; the residual is the distance."""
-
-    def penalty(states, mu):
-        diff_end = states[-1] - target_endpoint
-        dist_sq = float(grid.cell_volume * np.sum(diff_end**2))
-        dpen = np.zeros_like(states)
-        dpen[-1] = mu * (2.0 * grid.cell_volume * diff_end)
-        return mu * dist_sq, dpen, float(np.sqrt(dist_sq))
+        d_sq, diffs = dist_sq(states)
+        return mu * d_sq, mu * (coef * diffs), float(np.sqrt(d_sq))
 
     return penalty
 
 
 def _hinge_penalty(grid, tg, phi_ref, radius, mode):
-    """mu gap^2 for the ball constraint of ``constrained_rate_minimum``, and its distance.
+    """``(penalty, dist_sq)``: mu gap^2 for the ball constraint of
+    ``constrained_rate_minimum``, and the ``_smooth_distance`` "l2rms" d^2 to ``phi_ref``.
 
-    Returns ``(penalty, dist)``: ``dist(states)`` is the time-averaged L2
-    distance to ``phi_ref`` (trapezoid rule in time), and the penalty's
-    residual is the gap, max(0, dist - 0.95 radius) inside and
-    max(0, 1.05 radius - dist) outside. Its state partials are
-    d(gap^2)/du_n = 2 gap s tw_n cv (u_n - phi_n)/(T dist), s = +1 inside
-    (dist too big) and -1 outside (dist too small); they are left zero where
-    the gap is zero and on the reference itself, where dist has no gradient.
+    The residual is the gap, max(0, d - 0.95 radius) inside and
+    max(0, 1.05 radius - d) outside. Its state partials are s gap/d times
+    those of d^2, s = +1 inside (d too big) and -1 outside (d too small), and
+    zero where the gap is zero or on the reference, where d has no gradient.
     """
-    tw = tg.trapezoid_weights()
+    dist_sq, w, norm = _smooth_distance(grid, tg, "l2rms", phi_ref)
     sgn = 1.0 if mode == "inside" else -1.0
 
-    def dist(states):
-        per = grid.cell_volume * ((states - phi_ref).reshape(tg.n_steps + 1, -1) ** 2).sum(axis=1)
-        return float(np.sqrt(np.sum(tw * per) / tg.horizon))
-
     def penalty(states, mu):
-        d = dist(states)
+        d_sq, diffs = dist_sq(states)
+        d = float(np.sqrt(d_sq))
         gap = max(0.0, d - 0.95 * radius) if mode == "inside" else max(0.0, 1.05 * radius - d)
         if gap > 0.0 and d > 0.0:
-            scale = 2.0 * mu * gap * sgn * grid.cell_volume / (tg.horizon * d)
-            return mu * gap**2, (scale * tw).reshape(-1, *([1] * grid.dim)) * (states - phi_ref), gap
+            scale = 2.0 * mu * gap * sgn * grid.cell_volume / (norm * d)
+            return mu * gap**2, (scale * w).reshape(-1, *([1] * grid.dim)) * diffs, gap
         return mu * gap**2, np.zeros_like(states), gap
 
-    return penalty, dist
+    return penalty, dist_sq
 
 
 def _linearize(model: ModelSpec, kernel: StepKernel, states: np.ndarray, weights: np.ndarray):
@@ -440,9 +437,11 @@ def minimize_rate(
     Doubles the penalty until the residual meets tolerance or the continuation
     budget runs out. The result's ``value`` is an upper bound on the
     discretized rate when ``converged``; otherwise value is +inf with the best
-    residual reached — the empty-infimum branch. Endpoint queries use
-    ``query.tau_end`` as the terminal matching tolerance, path queries
-    ``settings.residual_tol``.
+    residual reached — the empty-infimum branch. The residual is a
+    ``skeleton.distance_weights`` kind: "terminal" for endpoint queries, held
+    to ``query.tau_end``; "uniform" for path queries, held to
+    ``settings.residual_tol``, and not the "l2rms" of
+    ``constrained_rate_minimum`` and the Monte Carlo set events.
     """
     grid = model.grid
     if query.u0.grid != grid:
@@ -456,12 +455,12 @@ def minimize_rate(
         start_gap = float(np.sqrt(array_l2_sq(grid, target_path[0] - query.u0.values)))
         if start_gap > 1e-9:
             raise DomainError(f"target path starts {start_gap:.3e} away from u0 (limit 1e-9)")
-        penalty = _path_penalty(grid, tg, target_path)
+        penalty = _quadratic_penalty(grid, tg, "uniform", target_path)
         tol = query.settings.residual_tol
     else:
         if query.target_endpoint.grid != grid:
             raise GridMismatchError("endpoint target grid does not match the model")
-        penalty = _endpoint_penalty(grid, query.target_endpoint.values)
+        penalty = _quadratic_penalty(grid, tg, "terminal", query.target_endpoint.values)
         tol = query.tau_end
 
     kernel = StepKernel.build(model, tg)
@@ -493,7 +492,8 @@ def check_gradient(
     rng = np.random.default_rng(seed)
     kernel = StepKernel.build(model, tg)
     v = scale * rng.standard_normal(tg.n_steps * model.noise.n_modes)
-    penalty = _path_penalty(model.grid, tg, g0_map(model, u0, Control.zero(tg, model.noise.n_modes)))
+    zero_path = g0_map(model, u0, Control.zero(tg, model.noise.n_modes))
+    penalty = _quadratic_penalty(model.grid, tg, "uniform", zero_path)
 
     def sweep(weights):
         return _forward_states(model, kernel, u0, weights)[0]
@@ -588,7 +588,7 @@ def sample_level_set(
     )
 
 
-def hausdorff_distance(a: LevelSet, b: LevelSet, p: float, which: str = "combined") -> float:
+def hausdorff_distance(a: LevelSet, b: LevelSet, p: float) -> float:
     """Symmetric Hausdorff distance between sampled trajectory sets."""
     if not a.trajectories or not b.trajectories:
         raise DomainError("Hausdorff distance needs non-empty sets")
@@ -602,7 +602,7 @@ def hausdorff_distance(a: LevelSet, b: LevelSet, p: float, which: str = "combine
     d = np.empty((len(a.trajectories), len(b.trajectories)))
     for i, ta in enumerate(a.trajectories):
         for j, tb in enumerate(b.trajectories):
-            d[i, j] = path_distance(grid, tg, ta, tb, p, which=which, hats=(hats_a[i], hats_b[j]))
+            d[i, j] = path_distance(grid, tg, ta, tb, p, hats=(hats_a[i], hats_b[j]))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
@@ -691,9 +691,9 @@ def constrained_rate_minimum(
 ) -> RateResult:
     """Smallest action subject to the path lying inside/outside a ball.
 
-    The ball is {dist_rms(u_v, phi_ref) < radius} in the time-averaged L2
-    distance (the smooth norm the Monte Carlo summaries also report), and the
-    constraint enters as a doubled hinge penalty: inside mode penalizes
+    The ball is {dist(u_v, phi_ref) < radius} in the "l2rms" distance (the
+    smooth norm the Monte Carlo summaries also report), and the constraint
+    enters as a doubled hinge penalty: inside mode penalizes
     max(0, dist - 0.95 radius)^2, outside mode max(0, 1.05 radius - dist)^2 —
     the 5% interior margin keeps minimizers strictly off the boundary so
     membership survives sampling and discretization jitter. ``radius`` is
@@ -713,8 +713,8 @@ def constrained_rate_minimum(
     if phi_ref.shape != (tg.n_steps + 1, *model.grid.shape):
         raise GridMismatchError("reference trajectory shape mismatch")
 
-    penalty, dist = _hinge_penalty(model.grid, tg, phi_ref, radius, mode)
+    penalty, dist_sq = _hinge_penalty(model.grid, tg, phi_ref, radius, mode)
     # the distance gradient is singular on the reference path itself, so an
     # outside-mode start on it (u_v = phi_ref) needs a symmetry-breaking nudge
-    singular = (lambda states: dist(states) < 1e-12) if mode == "outside" else None
+    singular = (lambda states: np.sqrt(dist_sq(states)[0]) < 1e-12) if mode == "outside" else None
     return _penalty_continuation(model, kernel, u0, penalty, [x], st.residual_tol, st, singular)

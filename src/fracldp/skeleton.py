@@ -344,13 +344,11 @@ def path_distance(
     traj_a: np.ndarray,
     traj_b: np.ndarray,
     p: float,
-    which: str = "combined",
     hats: Optional[tuple] = None,
 ) -> float:
-    """Distance between trajectories in the product path norm.
+    """Distance between trajectories in the product path norm: the sum of the
+    three ``path_norm_components`` of their difference.
 
-    ``which`` selects a component: "c_h" (sup-in-time L2), "l2_v"
-    (L2-in-time H^alpha), "lp_lp" (Lp-in-time Lp), or their sum "combined".
     A caller holding the ``rfftn`` of both trajectories passes them as
     ``hats``; their difference stands in for the transform of the difference
     (equal up to roundoff, since the transform is linear).
@@ -358,12 +356,25 @@ def path_distance(
     if traj_a.shape != traj_b.shape:
         raise GridMismatchError("trajectory shapes differ")
     diff_hat = None if hats is None else hats[0] - hats[1]
-    c_h, l2_v, lp_lp = path_norm_components(grid, timegrid, traj_a - traj_b, p, diff_hat)
-    table = {"c_h": c_h, "l2_v": l2_v, "lp_lp": lp_lp, "combined": c_h + l2_v + lp_lp}
-    try:
-        return table[which]
-    except KeyError:
-        raise DomainError(f"unknown path norm selector {which!r}") from None
+    return sum(path_norm_components(grid, timegrid, traj_a - traj_b, p, diff_hat))
+
+
+def distance_weights(kind: str, timegrid: TimeGrid) -> tuple[np.ndarray, float]:
+    """Time weights w_0..w_N and normaliser D of a smooth distance ``kind``.
+
+    The one definition of d^2 = sum_k w_k ||u_k - ref_k||_L2^2 / D, over the
+    steps with w_k != 0, that ``stochastic.batch_paths`` and the rate
+    penalties read: "terminal" is w = e_N, D = 1; "l2rms" the trapezoid
+    weights, D = T; "uniform" all ones, D = N + 1.
+    """
+    n = timegrid.n_steps + 1
+    if kind == "terminal":
+        return np.eye(1, n, n - 1)[0], 1.0
+    if kind == "l2rms":
+        return timegrid.trapezoid_weights(), timegrid.horizon
+    if kind == "uniform":
+        return np.ones(n), float(n)
+    raise DomainError(f"unknown smooth distance kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError
-from .grids import NON_NEGATIVE_OR_INF, POSITIVE, UNIT, Range
+from .grids import NON_NEGATIVE_OR_INF, POSITIVE, UNIT
 from .grids import at_least, check_ranges, check_value
 from .grids import array_l2_sq, array_lp_pow, array_seminorm_sq
 from .models import ModelSpec
@@ -35,16 +35,10 @@ from .skeleton import (
     SkeletonSolution,
     StepKernel,
     TimeGrid,
+    distance_weights,
     evolve_dense,
     step_once,
 )
-
-# the distance kinds ``batch_paths`` accumulates to its references
-DIST_KINDS = Range(
-    lambda v: isinstance(v, str) and v in ("combined", "l2rms", "terminal"),
-    "one of 'combined', 'l2rms', 'terminal'",
-)
-
 
 class InsufficientSamplesError(DomainError):
     """Batch too small for the requested statistical contract."""
@@ -105,10 +99,6 @@ class PathSample:
     @property
     def trajectory(self) -> np.ndarray:
         return self.solution.trajectory
-
-    @property
-    def driver_meta(self) -> tuple:
-        return (self.seed, self.stream_id)
 
 
 def _mode_weights(model, u0, cfg, driver, n_paths, shift) -> np.ndarray:
@@ -256,8 +246,8 @@ def batch_paths(
     ``blow_step``, and poison its distances with +inf; they never abort the
     batch. Distances to ``references`` (trajectories on the same grids)
     accumulate on the fly, only in the kind ``which`` names: "combined", the
-    path norm sup-L2 + L2-in-time-H^alpha + Lp-in-time-Lp; "l2rms",
-    sqrt((1/T) int ||u - ref||^2 dt); or "terminal", ||u(T) - ref(T)||_L2.
+    path norm sup-L2 + L2-in-time-H^alpha + Lp-in-time-Lp, or a smooth kind
+    of ``skeleton.distance_weights``, summed over its steps of nonzero weight.
 
     A finite ``event_radius`` r serves callers that read only the indicators
     d < r and d >= r. Every piece of the combined norm is non-decreasing in
@@ -268,9 +258,11 @@ def batch_paths(
     and the other kinds always come back in full.
     """
     check_value("n_paths", n_paths, at_least(1))
-    check_value("which", which, DIST_KINDS)
-    check_value("event_radius", event_radius, NON_NEGATIVE_OR_INF)
     tg = cfg.timegrid
+    smooth = which != "combined"
+    if smooth:
+        ref_w, ref_norm = distance_weights(which, tg)
+    check_value("event_radius", event_radius, NON_NEGATIVE_OR_INF)
     grid = model.grid
     n_refs = len(references)
     for r in references:
@@ -287,9 +279,9 @@ def batch_paths(
     u = np.broadcast_to(u0.values, (n_paths, *grid.shape)).copy()
     hat = kernel.rfft(u)
     acc = np.zeros((3, n_paths))  # the path's own norm pieces: its energy
-    ref_acc = np.zeros((n_paths, n_refs))  # l2rms sums
+    ref_acc = np.zeros((n_paths, n_refs))  # smooth kinds: the weighted sums of squares
     # combined: the undecided (path, reference) pairs and their norm pieces
-    n_pairs = n_paths * n_refs if which == "combined" else 0
+    n_pairs = 0 if smooth else n_paths * n_refs
     pair_path, pair_ref = np.divmod(np.arange(n_pairs), max(n_refs, 1))
     pair_acc = np.zeros((3, n_pairs))
     if n_pairs:
@@ -325,19 +317,15 @@ def batch_paths(
             if decided.any():
                 keep = ~decided
                 pair_path, pair_ref, pair_acc = pair_path[keep], pair_ref[keep], pair_acc[:, keep]
-        if which == "l2rms":
+        if smooth and ref_w[k]:
             for j, ref in enumerate(references):
-                ref_acc[:, j] += np.where(alive, tw[k] * array_l2_sq(grid, u - ref[k]), 0.0)
+                ref_acc[:, j] += np.where(alive, ref_w[k] * array_l2_sq(grid, u - ref[k]), 0.0)
 
-    if which == "combined":
+    if smooth:
+        dists = np.sqrt(ref_acc / ref_norm)
+    else:
         dists = np.full((n_paths, n_refs), np.inf)
         dists[pair_path, pair_ref] = combined(pair_acc)
-    elif which == "l2rms":
-        dists = np.sqrt(ref_acc / tg.horizon)
-    else:
-        dists = np.empty((n_paths, n_refs))
-        for j, ref in enumerate(references):
-            dists[:, j] = np.sqrt(array_l2_sq(grid, u - ref[-1]))
     dists[~alive] = np.inf
     terminal_l2 = np.sqrt(array_l2_sq(grid, u))
     terminal_mean = np.mean(u.reshape(n_paths, -1), axis=1)

@@ -162,6 +162,33 @@ def test_rerun_is_byte_identical(tmp_path):
     assert m1["tolerances"] == m2["tolerances"]
 
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+# sha256 of records.ndjson for each shipped config
+SHIPPED_RECORDS = {
+    "mc-ldp.json": "b396c6bdc8e5c145756b03681d0ef0bb4c133245daeb8c83bef00f8eb3e04748",
+    "rate-min.json": "9b252be053c9bc3b406e7376c8e2aaa02c5d77d3188e119b8bcf9f3ff80216cf",
+    "simulate.json": "4db0d9417a0110a13cef78abaa3cf6878345d899b1e36cb3833894bb24bf3001",
+    "validate-model.json": "108fa4a663ca7ff63e2979b79cfbfff01ff2919684a53120f3131545c0a8afba",
+}
+
+
+def test_shipped_config_records_are_pinned(tmp_path):
+    """Records are byte-reproducible for a fixed config and seed, so a change
+    that moves the bytes of a shipped config's run is a stated change."""
+    assert sorted(os.listdir(CONFIGS)) == sorted(SHIPPED_RECORDS)
+    for fname, digest in SHIPPED_RECORDS.items():
+        config = os.path.join(CONFIGS, fname)
+        with open(config, encoding="utf-8") as fh:
+            name = json.load(fh)["experiment"]["name"]
+        out = tmp_path / fname
+        assert run_cli(name, config, out) == 0, fname
+        assert sha256_file(out / "records.ndjson") == digest, (
+            f"records of configs/{fname} moved; a re-pin must be stated in CHANGES.md "
+            "with the records that changed and why"
+        )
+
+
 # Runs in a fresh interpreter: prints, after the import and after each
 # subcommand, which heavy modules are loaded.
 _IMPORT_PROBE = """

@@ -8,8 +8,18 @@ import scipy.optimize
 
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
 from fracldp.models import ModelSpec
-from fracldp.skeleton import BlowUpError, Control, StepKernel, TimeGrid, path_distance, step_once
+from fracldp.skeleton import (
+    BlowUpError,
+    Control,
+    StepKernel,
+    TimeGrid,
+    distance_weights,
+    path_distance,
+    step_once,
+)
+from fracldp.stochastic import SdeConfig, WienerDriver, batch_paths, simulate_sde
 from fracldp.zoo import (
+    PRESETS,
     build_model,
     default_initial_datum,
     default_model,
@@ -214,7 +224,12 @@ _GRAD_MODELS = {
 }
 
 
-@pytest.mark.parametrize("target", ["endpoint", "path", "hinge"])
+# the smooth distance kind of each quadratic penalty: endpoint and path
+# queries of minimize_rate use "terminal" and "uniform"
+_PENALTY_KINDS = {"endpoint": "terminal", "path": "uniform", "l2rms": "l2rms"}
+
+
+@pytest.mark.parametrize("target", [*_PENALTY_KINDS, "hinge"])
 @pytest.mark.parametrize("name", sorted(_GRAD_MODELS))
 def test_batched_adjoint_matches_per_step_sweep(name, target):
     model = _GRAD_MODELS[name]()
@@ -226,11 +241,9 @@ def test_batched_adjoint_matches_per_step_sweep(name, target):
     weights = tg.dt * 0.5 * rng.standard_normal((tg.n_steps, model.noise.n_modes))
     states, _ = rate._forward_states(model, kernel, u0, weights)
     ref_path = states + 0.1 * rng.standard_normal(states.shape)
-    if target == "endpoint":
-        penalty = rate._endpoint_penalty(grid, ref_path[-1])
-    elif target == "path":
-        penalty = rate._path_penalty(grid, tg, ref_path)
-    else:  # the trapezoid-weighted hinge of constrained_rate_minimum, gap > 0
+    if target in _PENALTY_KINDS:
+        penalty = rate._quadratic_penalty(grid, tg, _PENALTY_KINDS[target], ref_path)
+    else:  # the "l2rms" hinge of constrained_rate_minimum, gap > 0
         penalty, _ = rate._hinge_penalty(grid, tg, ref_path, 100.0, "outside")
     _, dpen, _ = penalty(states, 1.5)
     assert dpen.any()
@@ -238,6 +251,53 @@ def test_batched_adjoint_matches_per_step_sweep(name, target):
     ref = _per_step_adjoint_grad(model, kernel, states, weights, dpen)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["default", "2d"])
+def test_smooth_distances_match_independent_formulas(name):
+    """On a forward_states trajectory each smooth kind's penalty residual is
+    its textbook formula, and the hinge's distance is the "l2rms" residual."""
+    model = _GRAD_MODELS[name]()
+    grid = model.grid
+    tg = TimeGrid(1.0, 16)
+    kernel = StepKernel.build(model, tg)
+    rng = np.random.default_rng(4)
+    weights = tg.dt * 0.5 * rng.standard_normal((tg.n_steps, model.noise.n_modes))
+    states, _ = rate._forward_states(model, kernel, default_initial_datum(grid), weights)
+    ref = states + 0.1 * rng.standard_normal(states.shape)
+    per_step = grid.cell_volume * ((states - ref) ** 2).reshape(tg.n_steps + 1, -1).sum(axis=1)
+    expected = {
+        "terminal": np.sqrt(per_step[-1]),
+        "l2rms": np.sqrt(np.trapezoid(per_step, tg.times()) / tg.horizon),
+        "uniform": np.sqrt(np.mean(per_step)),
+    }
+    residual = {kind: rate._quadratic_penalty(grid, tg, kind, ref)(states, 1.0)[2] for kind in expected}
+    for kind, want in expected.items():
+        assert residual[kind] == pytest.approx(want, rel=1e-14, abs=0.0)
+    _, dist_sq = rate._hinge_penalty(grid, tg, ref, 1.0, "inside")
+    assert np.sqrt(dist_sq(states)[0]) == residual["l2rms"]
+    with pytest.raises(DomainError):
+        distance_weights("sup", tg)
+
+
+@pytest.mark.parametrize("preset", ["default", "fractional", "scalar-linear"])
+@pytest.mark.parametrize("kind", ["terminal", "l2rms", "uniform"])
+def test_batch_and_rate_distances_agree(preset, kind):
+    """Member b of batch_paths(which=kind) and the rate penalty's residual on
+    the simulate_sde trajectory of stream b are one distance: they agree to
+    the roundoff by which the two trajectories themselves differ."""
+    entry = PRESETS[preset]
+    model = entry.build()
+    grid = model.grid
+    tg = TimeGrid(0.5, 32)
+    u0 = default_initial_datum(grid) if entry.datum == "bump" else Field(grid, np.full(grid.shape, 0.5))
+    ref = g0_map(model, u0, Control(tg, np.full((tg.n_steps, model.noise.n_modes), 0.3)), tg)
+    cfg = SdeConfig(epsilon=0.1, timegrid=tg)
+    sums = batch_paths(model, u0, cfg, 3, base_seed=11, references=[ref], which=kind)
+    penalty = rate._quadratic_penalty(grid, tg, kind, ref)
+    for b, summary in enumerate(sums):
+        path = simulate_sde(model, u0, cfg, WienerDriver(model.noise.n_modes, 11, b))
+        assert summary.dists[0] == pytest.approx(penalty(path.trajectory, 1.0)[2], rel=1e-12, abs=0.0)
 
 
 def test_forward_sweep_blow_up_names_the_first_non_finite_step():
@@ -504,19 +564,18 @@ def test_hausdorff_constant_shift_closed_form(setup):
 
 def test_hausdorff_matches_per_pair_path_distance(setup):
     """Subtracting per-trajectory transforms stands in for transforming each
-    pairwise difference: every component and the combined distance agree with
-    the per-pair path_distance within roundoff."""
+    pairwise difference: the distance agrees with the per-pair path_distance
+    within roundoff."""
     model, u0, tg = setup
     p = model.drift.p
     a = sample_level_set(model, u0, 0.4, 6, tg, seed=5)
     b = sample_level_set(model, u0, 1.2, 5, tg, seed=6)
-    for which in ("combined", "c_h", "l2_v", "lp_lp"):
-        per_pair = np.array([
-            [path_distance(model.grid, tg, ta, tb, p, which=which) for tb in b.trajectories]
-            for ta in a.trajectories
-        ])
-        expected = max(per_pair.min(axis=1).max(), per_pair.min(axis=0).max())
-        assert hausdorff_distance(a, b, p, which=which) == pytest.approx(expected, rel=1e-12)
+    per_pair = np.array([
+        [path_distance(model.grid, tg, ta, tb, p) for tb in b.trajectories]
+        for ta in a.trajectories
+    ])
+    expected = max(per_pair.min(axis=1).max(), per_pair.min(axis=0).max())
+    assert hausdorff_distance(a, b, p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_hausdorff_timegrid_mismatch(setup):

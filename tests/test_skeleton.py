@@ -344,12 +344,10 @@ def test_path_distance_selectors():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(9, *g.shape))
     b = rng.normal(size=(9, *g.shape))
-    parts = [path_distance(g, tg, a, b, 4.0, which=w) for w in ("c_h", "l2_v", "lp_lp")]
-    combined = path_distance(g, tg, a, b, 4.0, which="combined")
+    parts = path_norm_components(g, tg, a - b, 4.0)
+    combined = path_distance(g, tg, a, b, 4.0)
     assert combined == pytest.approx(sum(parts), rel=1e-12)
     assert path_distance(g, tg, a, a, 4.0) == 0.0
-    with pytest.raises(DomainError):
-        path_distance(g, tg, a, b, 4.0, which="sup")
     with pytest.raises(GridMismatchError):
         path_distance(g, tg, a, b[:5], 4.0)
 

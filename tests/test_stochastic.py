@@ -100,7 +100,6 @@ def test_simulate_sde_bit_reproducible(default_setup):
     p1 = simulate_sde(m, u0, cfg, drv)
     p2 = simulate_sde(m, u0, cfg, drv)
     assert np.array_equal(p1.trajectory, p2.trajectory)
-    assert p1.driver_meta == (42, 3)
 
 
 def test_shifted_with_zero_control_equals_unshifted(default_setup):
@@ -224,6 +223,7 @@ def test_batch_distance_accumulation_matches_post_hoc(default_setup):
         "combined": lambda u: path_distance(m.grid, tg, u, ref, m.drift.p),
         "l2rms": lambda u: np.sqrt(np.trapezoid(array_l2_sq(m.grid, u - ref), tg.times()) / tg.horizon),
         "terminal": lambda u: np.sqrt(array_l2_sq(m.grid, u[-1] - ref[-1])),
+        "uniform": lambda u: np.sqrt(np.mean(array_l2_sq(m.grid, u - ref))),
     }
     for which, distance in post_hoc.items():
         sums = batch_paths(m, u0, cfg, 3, base_seed=42, references=[ref], which=which)
