@@ -548,6 +548,19 @@ def _scalar_samples(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
     return u
 
 
+# Scalar samples per block of the sampled conditions. A float temporary of one
+# block is 64 KB, under glibc's default 128 KiB mmap threshold, so freed blocks
+# are reused from the heap; a temporary over all samples (1.2 MB on the shipped
+# plan) is mapped afresh, zero-filled a page at a time and unmapped again on
+# every pass.
+_SAMPLE_BLOCK = 8192
+
+
+def _sample_blocks(n: int) -> list:
+    """Consecutive slices of at most ``_SAMPLE_BLOCK`` samples covering range(n)."""
+    return [slice(s, s + _SAMPLE_BLOCK) for s in range(0, n, _SAMPLE_BLOCK)]
+
+
 def _normalized_min(margin, scale):
     """Minimum of margin / max(1, scale) and its index (0 for a scalar)."""
     norm = np.ravel(margin / np.maximum(1.0, scale))
@@ -558,7 +571,8 @@ def _normalized_min(margin, scale):
 class _WorstMargins:
     """Per sampled condition, the smallest normalized margin seen and its
     witness. A sample replaces the worst only when strictly smaller, so a tie
-    keeps the first one seen; conditions report in the order first offered."""
+    keeps the first one seen; a NaN margin is worse than any number, and the
+    first NaN seen is kept. Conditions report in the order first offered."""
 
     def __init__(self) -> None:
         self.worst: dict = {}
@@ -566,7 +580,8 @@ class _WorstMargins:
     def offer(self, name: str, margin, scale, witness: Callable[[int], dict]) -> None:
         """Offer margin / max(1, scale); ``witness(i)`` describes sample i."""
         m, i = _normalized_min(margin, scale)
-        if name not in self.worst or m < self.worst[name][0]:
+        old = self.worst.get(name)
+        if old is None or m < old[0] or (np.isnan(m) and not np.isnan(old[0])):
             self.worst[name] = (m, witness(i))
 
     def checks(self, samples: int) -> list:
@@ -635,16 +650,19 @@ def _largest_passing(ok, lo: float, hi: float) -> float:
 
 
 class _Certificate:
-    """Largest lam in [CERT_FLOOR, CERT_CAP] at which every sample of every
-    time slice passes the normalized ``_linear_condition`` predicate, built one
-    slice at a time without keeping the slices.
+    """Largest lam in [CERT_FLOOR, CERT_CAP] at which every sample added passes
+    the normalized ``_linear_condition`` predicate, built one block of samples
+    at a time (``_SAMPLE_BLOCK``) without keeping the blocks, so that its
+    temporaries stay block-sized.
 
     ``hi`` is CERT_CAP or a float at which some sample fails: the binding
     sample of the per-sample closed form (``_closed_form_lambdas``) is stepped
     up from its closed form, on its own, until its computed predicate fails.
-    Of each slice only the samples that can fail at some lam <= hi are kept
-    (computed margin at hi not >= -MARGIN_TOL + CERT_SLACK, or b < 0); the rest
-    pass on all of [0, hi]. ``value`` bisects the float predicate over the kept
+    Only the samples that can fail at some lam <= hi are kept, as one
+    concatenated (a, b, c) triple (computed margin at hi not >= -MARGIN_TOL +
+    CERT_SLACK, or b < 0); the rest pass on all of [0, hi]. Each ``add``
+    filters the kept samples and the new block at the current ``hi``, so it
+    costs O(kept + block). ``value`` bisects the float predicate over the kept
     samples, so the certificate passes every sample and the next float up does
     not, however far rounding moves the boundary from the closed form.
     """
@@ -652,10 +670,10 @@ class _Certificate:
     def __init__(self) -> None:
         self.closed = np.inf
         self.hi = CERT_CAP
-        self.kept: list = []
+        self.kept = (np.empty(0),) * 3
 
     def _ok(self, lam: float) -> bool:
-        return all(np.min(_normalized(a, b, c, lam), initial=np.inf) >= -MARGIN_TOL for a, b, c in self.kept)
+        return bool(np.min(_normalized(*self.kept, lam), initial=np.inf) >= -MARGIN_TOL)
 
     def add(self, a: np.ndarray, b: np.ndarray, c) -> None:
         c = np.broadcast_to(c, a.shape)
@@ -668,11 +686,9 @@ class _Certificate:
             while _as_float(bits) < self.hi and np.all(_normalized(*one, _as_float(bits)) >= -MARGIN_TOL):
                 bits, step = bits + step, 2 * step
             self.hi = min(self.hi, _as_float(bits))
-        kept = []
-        for abc in self.kept + [(a, b, c)]:
-            keep = ~(_normalized(*abc, self.hi) >= -MARGIN_TOL + CERT_SLACK) | (abc[1] < 0)  # NaN is kept
-            kept.append(tuple(x[keep] for x in abc))
-        self.kept = kept
+        a, b, c = (np.concatenate(x) for x in zip(self.kept, (a, b, c)))
+        keep = ~(_normalized(a, b, c, self.hi) >= -MARGIN_TOL + CERT_SLACK) | (b < 0)  # NaN is kept
+        self.kept = (a[keep], b[keep], c[keep])
 
     def value(self) -> float:
         if not self._ok(CERT_FLOOR):
@@ -695,6 +711,10 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     finds the binding sample, and a bisection of the computed predicate over
     the near-binding samples (``_Certificate``) gives the largest float that
     passes, so a returned certificate always passes.
+
+    Within each time the samples stream through blocks of ``_SAMPLE_BLOCK``,
+    in sample order, so every temporary is block-sized and reused instead of
+    mapped afresh on each pass; the report does not depend on the block size.
     """
     rng = np.random.default_rng(plan.seed)
     u = _scalar_samples(plan, rng)
@@ -711,19 +731,24 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
 
     worst = _WorstMargins()
     lambda1_cert, lambda2_cert = _Certificate(), _Certificate()
+    blocks = _sample_blocks(len(u))
     for t in ts:
-        f = np.asarray(drift.value(t, coords, u), dtype=float)
-        f2 = np.asarray(drift.value(t, coords, u2), dtype=float)
-        coercive_a, mono_a = f * u, (f - f2) * du
-        at_u = lambda i: {"t": float(t), "u": float(u[i])}
-        worst.offer("drift-coercivity", *_linear_condition(coercive_a, coercive_b, coercive_c, drift.lambda1), at_u)
-        worst.offer("drift-growth", grow + drift.psi3_bound - np.abs(f), np.abs(f) + grow, at_u)
-        worst.offer(
-            "drift-monotonicity", *_linear_condition(mono_a, mono_b, mono_c, drift.lambda2),
-            lambda i: {"t": float(t), "u1": float(u[i]), "u2": float(u2[i])},
-        )
-        lambda1_cert.add(coercive_a, coercive_b, coercive_c)
-        lambda2_cert.add(mono_a, mono_b, mono_c)
+        f_t = np.broadcast_to(np.asarray(drift.value(t, coords, u), dtype=float), u.shape)
+        f2_t = np.broadcast_to(np.asarray(drift.value(t, coords, u2), dtype=float), u.shape)
+        for s in blocks:
+            ub, u2b, f = u[s], u2[s], f_t[s]
+            coercive_a, mono_a = f * ub, (f - f2_t[s]) * du[s]
+            at_u = lambda i: {"t": float(t), "u": float(ub[i])}
+            worst.offer(
+                "drift-coercivity", *_linear_condition(coercive_a, coercive_b[s], coercive_c, drift.lambda1), at_u
+            )
+            worst.offer("drift-growth", grow[s] + drift.psi3_bound - np.abs(f), np.abs(f) + grow[s], at_u)
+            worst.offer(
+                "drift-monotonicity", *_linear_condition(mono_a, mono_b[s], mono_c[s], drift.lambda2),
+                lambda i: {"t": float(t), "u1": float(ub[i]), "u2": float(u2b[i])},
+            )
+            lambda1_cert.add(coercive_a, coercive_b[s], coercive_c)
+            lambda2_cert.add(mono_a, mono_b[s], mono_c[s])
     constants = {"lambda1": lambda1_cert.value(), "lambda2": lambda2_cert.value()}
     return ValidationReport(checks=worst.checks(len(u) * len(ts)), constants=constants)
 
@@ -763,6 +788,11 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     the linear-in-||u|| HS growth bound ("hs-linear"), the HS Lipschitz bound
     on field pairs ("hs-lipschitz"), coefficient summability ("summability"),
     and the kappa support rule ("kappa-support").
+
+    The per-mode conditions stream their samples through blocks of
+    ``_SAMPLE_BLOCK``, in sample order within each time and mode, so every
+    temporary is block-sized and reused instead of mapped afresh on each
+    pass; the report does not depend on the block size.
     """
     rng = np.random.default_rng(plan.seed + 1)
     u = _scalar_samples(plan, rng)
@@ -771,23 +801,31 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     grid = noise.grid
     ts = np.linspace(0.0, T_MAX, 3)
 
-    # per-mode scalar conditions
+    # per-mode scalar conditions; their state-free factors are the same at
+    # every time and mode
+    lip_factor = 1.0 + np.abs(u) ** (q - 2.0) + np.abs(u2) ** (q - 2.0)
+    du_sq = (u - u2) ** 2
+    abs_q = np.abs(u) ** q
     worst = _WorstMargins()
+    blocks = _sample_blocks(len(u))
     for t in ts:
         for k in range(noise.n_modes):
             a_k, b_k, g_k = noise.coeff_alpha[k], noise.coeff_beta[k], noise.coeff_gamma[k]
-            s_1, s_2 = noise.sigma2_mode(t, k, u), noise.sigma2_mode(t, k, u2)
-            lip_rhs = a_k * (1.0 + np.abs(u) ** (q - 2.0) + np.abs(u2) ** (q - 2.0)) * (u - u2) ** 2
-            lip_lhs = (s_1 - s_2) ** 2
-            worst.offer(
-                "noise-lipschitz", lip_rhs - lip_lhs, lip_rhs + lip_lhs,
-                lambda i: {"t": float(t), "mode": k, "u1": float(u[i]), "u2": float(u2[i])},
-            )
-            gr_rhs = b_k + g_k * np.abs(u) ** q
-            gr_lhs = s_1**2
-            worst.offer(
-                "noise-growth", gr_rhs - gr_lhs, gr_rhs + gr_lhs, lambda i: {"t": float(t), "mode": k, "u": float(u[i])}
-            )
+            for s in blocks:
+                ub, u2b = u[s], u2[s]
+                s_1, s_2 = noise.sigma2_mode(t, k, ub), noise.sigma2_mode(t, k, u2b)
+                lip_rhs = a_k * lip_factor[s] * du_sq[s]
+                lip_lhs = (s_1 - s_2) ** 2
+                worst.offer(
+                    "noise-lipschitz", lip_rhs - lip_lhs, lip_rhs + lip_lhs,
+                    lambda i: {"t": float(t), "mode": k, "u1": float(ub[i]), "u2": float(u2b[i])},
+                )
+                gr_rhs = b_k + g_k * abs_q[s]
+                gr_lhs = s_1**2
+                worst.offer(
+                    "noise-growth", gr_rhs - gr_lhs, gr_rhs + gr_lhs,
+                    lambda i: {"t": float(t), "mode": k, "u": float(ub[i])},
+                )
     checks = worst.checks(len(u) * len(ts) * noise.n_modes)
 
     # integrated Hilbert-Schmidt bounds on synthesized fields

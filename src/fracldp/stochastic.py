@@ -92,9 +92,6 @@ class PathSample:
     """One noise-driven trajectory with the skeleton solver's diagnostics."""
 
     solution: SkeletonSolution
-    epsilon: float
-    seed: int
-    stream_id: int
 
     @property
     def trajectory(self) -> np.ndarray:
@@ -145,10 +142,7 @@ def simulate_sde(
     ``batch_paths``.
     """
     weights = _mode_weights(model, u0, cfg, driver, 1, shift)[0]
-    return PathSample(
-        solution=evolve_dense(model, u0, cfg.timegrid, weights, cfg.linf_guard),
-        epsilon=cfg.epsilon, seed=driver.seed, stream_id=driver.stream_id,
-    )
+    return PathSample(solution=evolve_dense(model, u0, cfg.timegrid, weights, cfg.linf_guard))
 
 
 # ---------------------------------------------------------------------------
