@@ -491,8 +491,9 @@ FIELD_AMPLITUDE_MAX = 20.0
 class SamplingPlan:
     """How densely to sample the structural conditions.
 
-    ``n_samples`` scalar points per condition (log-spaced magnitudes up to
-    ``u_max``, both signs, zero included); ``n_fields`` random smooth fields
+    ``n_samples + n_samples // 2`` scalar points per condition and sampled
+    time (see ``_scalar_samples``: log-spaced magnitudes up to ``u_max`` with
+    both signs, uniform draws, and zero); ``n_fields`` random smooth fields
     for the integrated (Hilbert-Schmidt) conditions; everything seeded.
     """
 
@@ -513,6 +514,14 @@ class SamplingPlan:
 
 @dataclass
 class ConditionCheck:
+    """One checked condition: its worst normalized margin, whether that margin
+    passes, and the witness it came from. ``samples`` counts the points a
+    sampled condition covers: (t, u) for a drift condition, (t, mode, u) for
+    a per-mode noise condition, where for a spec that does not depend on t
+    the one time evaluated stands for all of them; the Hilbert-Schmidt
+    checks count the (t, field) pairs evaluated (see ``validate_drift`` and
+    ``validate_noise``)."""
+
     name: str
     margin: float
     passed: bool
@@ -540,6 +549,10 @@ MARGIN_TOL = 1e-9
 
 
 def _scalar_samples(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
+    """The shuffled scalar samples, ``n_samples + n_samples // 2`` of them:
+    ``n_samples // 2`` magnitudes log-spaced on [1e-8, u_max] with both signs,
+    ``n_samples - n_samples // 2 - 1`` uniform on [-sqrt(u_max), sqrt(u_max)],
+    and 0."""
     n_log = plan.n_samples // 2
     mags = np.geomspace(1e-8, plan.u_max, n_log)
     uniform = rng.uniform(-plan.u_max ** 0.5, plan.u_max ** 0.5, plan.n_samples - n_log - 1)
@@ -707,10 +720,18 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     (lambda1) and monotonicity (lambda2) margins pass at the declared psi
     bounds, 0.0 when not even 1e-12 passes, capped at 2^20. They
     come from the same per-time pass that computes the margins, which
-    evaluates F(t, u) and F(t, u2) once per time: a per-sample closed form
-    finds the binding sample, and a bisection of the computed predicate over
-    the near-binding samples (``_Certificate``) gives the largest float that
-    passes, so a returned certificate always passes.
+    evaluates F(t, u) and F(t, u2) once per sampled time: a per-sample closed
+    form finds the binding sample, and a bisection of the computed predicate
+    over the near-binding samples (``_Certificate``) gives the largest float
+    that passes, so a returned certificate always passes.
+
+    The conditions cover 5 times in [0, T_MAX]. A built-in drift does not
+    depend on t, so it is evaluated at t = 0 only, which stands for every
+    time: at the other times the margins would be the same floats, a tie
+    keeps the first witness, and a certificate gains nothing from samples it
+    already holds. A ``custom-callback`` drift is evaluated at every time,
+    times outermost. Each check's ``samples`` counts the (t, u) points it
+    covers, len(u) * 5, either way.
 
     Within each time the samples stream through blocks of ``_SAMPLE_BLOCK``,
     in sample order, so every temporary is block-sized and reused instead of
@@ -720,6 +741,7 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     u = _scalar_samples(plan, rng)
     u2 = rng.permutation(u)
     ts = np.linspace(0.0, T_MAX, 5)
+    sampled_ts = ts if drift.form == "custom-callback" else ts[:1]
     coords = grid.coords() if grid is not None else [np.zeros(1)]
     p = drift.p
     du = u - u2
@@ -732,7 +754,7 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     worst = _WorstMargins()
     lambda1_cert, lambda2_cert = _Certificate(), _Certificate()
     blocks = _sample_blocks(len(u))
-    for t in ts:
+    for t in sampled_ts:
         f_t = np.broadcast_to(np.asarray(drift.value(t, coords, u), dtype=float), u.shape)
         f2_t = np.broadcast_to(np.asarray(drift.value(t, coords, u2), dtype=float), u.shape)
         for s in blocks:
@@ -789,6 +811,18 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     on field pairs ("hs-lipschitz"), coefficient summability ("summability"),
     and the kappa support rule ("kappa-support").
 
+    The per-mode conditions cover 3 times in [0, T_MAX] and every mode. A
+    separable noise, sigma2_k(u) = sqrt(gamma_k)*s(u), does not depend on t,
+    so it is sampled at t = 0 only, which stands for every time (the margins
+    would be the same floats and a tie keeps the first witness), and s(u),
+    s(u2) are computed once for all modes. Any other noise is sampled at
+    every time, times outermost. Each per-mode check's ``samples`` counts the
+    (t, mode, u) points it covers, len(u) * 3 * K, either way. The HS
+    conditions are sampled at the same times as the per-mode ones: at t = 0
+    for a separable noise, with witnesses and ``samples`` naming fields only,
+    and at every time for any other noise, with ``t`` in the witness and
+    ``samples`` counting (t, field) pairs.
+
     The per-mode conditions stream their samples through blocks of
     ``_SAMPLE_BLOCK``, in sample order within each time and mode, so every
     temporary is block-sized and reused instead of mapped afresh on each
@@ -800,20 +834,32 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     q = noise.q
     grid = noise.grid
     ts = np.linspace(0.0, T_MAX, 3)
+    sampled_ts = ts[:1] if noise.separable else ts
 
     # per-mode scalar conditions; their state-free factors are the same at
     # every time and mode
     lip_factor = 1.0 + np.abs(u) ** (q - 2.0) + np.abs(u2) ** (q - 2.0)
     du_sq = (u - u2) ** 2
     abs_q = np.abs(u) ** q
+    if noise.separable:
+        # sigma2_k is sqrt(gamma_k)*s(u), as in NoiseSpec.sigma2_mode
+        prof, prof2 = noise.profile(u), noise.profile(u2)
+
+        def sigma2_pair(t, k, s):
+            root = np.sqrt(noise.coeff_gamma[k])
+            return root * prof[s], root * prof2[s]
+    else:
+        def sigma2_pair(t, k, s):
+            return noise.sigma2_mode(t, k, u[s]), noise.sigma2_mode(t, k, u2[s])
+
     worst = _WorstMargins()
     blocks = _sample_blocks(len(u))
-    for t in ts:
+    for t in sampled_ts:
         for k in range(noise.n_modes):
             a_k, b_k, g_k = noise.coeff_alpha[k], noise.coeff_beta[k], noise.coeff_gamma[k]
             for s in blocks:
                 ub, u2b = u[s], u2[s]
-                s_1, s_2 = noise.sigma2_mode(t, k, ub), noise.sigma2_mode(t, k, u2b)
+                s_1, s_2 = sigma2_pair(t, k, s)
                 lip_rhs = a_k * lip_factor[s] * du_sq[s]
                 lip_lhs = (s_1 - s_2) ** 2
                 worst.offer(
@@ -842,26 +888,28 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     c_lip = lipschitz_constant(noise, p)
     constants["hs_lipschitz_c"] = c_lip
 
-    # each field's modes at t = 0, shared by its HS norm and its pair difference
-    modes = [noise.mode_values(0.0, vals) for vals in fields]
     worst = _WorstMargins()
-    for j, vals in enumerate(fields):
-        nxt = (j + 1) % len(fields)
-        at_j = lambda i: {"field": j}
-        hs = float(w * np.sum(modes[j] ** 2))
-        lp_p = w * np.sum(np.abs(vals) ** p)
-        l2 = np.sqrt(w * np.sum(vals**2))
-        for eps in eps_list:
-            bound = eps * lp_p + 2.0 * sig1_sq + constants[f"growth_constant_eps_{eps}"]
-            worst.offer(f"hs-split-eps-{eps}", bound - hs, bound + hs, at_j)
-        bound = 2.0 * sig1_sq + base_lin + c_lin * (1.0 + lp_p ** 0.5) * l2
-        worst.offer("hs-linear", bound - hs, bound + hs, at_j)
-        hs_diff = float(w * np.sum((modes[j] - modes[nxt]) ** 2))
-        lp_other = w * np.sum(np.abs(fields[nxt]) ** p)
-        dl2 = np.sqrt(w * np.sum((vals - fields[nxt]) ** 2))
-        bound = c_lip * (1.0 + lp_p ** 0.5 + lp_other ** 0.5) * dl2
-        worst.offer("hs-lipschitz", bound - hs_diff, bound + hs_diff, lambda i: {"fields": (j, nxt)})
-    checks += worst.checks(len(fields))
+    for t in sampled_ts:
+        when = {} if noise.separable else {"t": float(t)}
+        # each field's modes at t, shared by its HS norm and its pair difference
+        modes = [noise.mode_values(t, vals) for vals in fields]
+        for j, vals in enumerate(fields):
+            nxt = (j + 1) % len(fields)
+            at_j = lambda i: {**when, "field": j}
+            hs = float(w * np.sum(modes[j] ** 2))
+            lp_p = w * np.sum(np.abs(vals) ** p)
+            l2 = np.sqrt(w * np.sum(vals**2))
+            for eps in eps_list:
+                bound = eps * lp_p + 2.0 * sig1_sq + constants[f"growth_constant_eps_{eps}"]
+                worst.offer(f"hs-split-eps-{eps}", bound - hs, bound + hs, at_j)
+            bound = 2.0 * sig1_sq + base_lin + c_lin * (1.0 + lp_p ** 0.5) * l2
+            worst.offer("hs-linear", bound - hs, bound + hs, at_j)
+            hs_diff = float(w * np.sum((modes[j] - modes[nxt]) ** 2))
+            lp_other = w * np.sum(np.abs(fields[nxt]) ** p)
+            dl2 = np.sqrt(w * np.sum((vals - fields[nxt]) ** 2))
+            bound = c_lip * (1.0 + lp_p ** 0.5 + lp_other ** 0.5) * dl2
+            worst.offer("hs-lipschitz", bound - hs_diff, bound + hs_diff, lambda i: {**when, "fields": (j, nxt)})
+    checks += worst.checks(len(fields) * len(sampled_ts))
 
     # summability of the declared family (finite + declared tail)
     total = float(np.sum(noise.coeff_alpha + noise.coeff_beta + noise.coeff_gamma)) + noise.tail_bound

@@ -253,6 +253,47 @@ def test_validate_drift_evaluation_budget():
     assert 0 < len(calls) <= 30
 
 
+def _count_calls(monkeypatch, cls, name):
+    """Patch ``cls.name`` to record the size of its last argument on each call."""
+    sizes = []
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        sizes.append(np.size(args[-1]))
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("form, calls", [("cubic_minus_linear", 2), ("custom-callback", 10)])
+def test_validate_drift_evaluates_a_time_free_drift_at_one_time(form, calls, monkeypatch):
+    """A built-in drift does not depend on t: F(u) and F(u2) once. A callback
+    drift is evaluated on u and u2 at each of the 5 sampled times."""
+    drift = DriftSpec(form=form, callback=lambda t, x, u: u**3 - u)
+    sizes = _count_calls(monkeypatch, DriftSpec, "value")
+    rep = validate_drift(drift, PLAN)
+    n = len(_scalar_samples(PLAN, np.random.default_rng(PLAN.seed)))
+    assert sizes == [n] * calls
+    assert all(c.samples == 5 * n for c in rep.checks)
+
+
+@pytest.mark.parametrize("n_modes", [1, 4, 9])
+@pytest.mark.parametrize("noise_form", ["smooth_power", "saturated_power"])
+def test_validate_noise_computes_the_separable_profile_once(noise_form, n_modes, monkeypatch):
+    """The per-mode conditions of a separable noise compute s(u) and s(u2)
+    once, whatever the number of modes; the HS conditions call the profile
+    on grid fields only."""
+    m = zoo.build_model(noise_form=noise_form, n_modes=n_modes)
+    sizes = _count_calls(monkeypatch, NoiseSpec, "profile")
+    rep = validate_noise(m.noise, m.drift.p, PLAN)
+    n = len(_scalar_samples(PLAN, np.random.default_rng(PLAN.seed + 1)))
+    assert n != m.grid.n_total
+    assert sizes.count(n) == 2
+    assert set(sizes) == {n, m.grid.n_total}
+    assert rep.check("noise-growth").samples == 3 * n_modes * n
+
+
 NAN_PLAN = SamplingPlan(n_samples=20000, seed=0)
 DRIFT_CHECKS = ("drift-coercivity", "drift-growth", "drift-monotonicity")
 
@@ -475,6 +516,32 @@ def test_validate_noise_keeps_a_nan_found_late(where):
     _assert_nan_failures(rep, ("noise-lipschitz", "noise-growth"), **dict([last]))
 
 
+HS_CHECKS = ("hs-split-eps-0.1", "hs-split-eps-1.0", "hs-linear", "hs-lipschitz")
+
+
+def test_validate_noise_samples_a_time_dependent_hs_bound_at_every_time():
+    """A callback noise that is 1000x larger at t = T_MAX fails the HS bounds
+    there too, not only the per-mode conditions; at t = 0 alone the HS
+    margins are about 0.03 and pass."""
+    model = zoo.default_model()
+    base = model.noise
+    plan = SamplingPlan(n_samples=2000, n_fields=12, seed=3)
+
+    def late_surge(t, coords, u, k):
+        return (1000.0 if t == T_MAX else 1.0) * np.sqrt(base.coeff_gamma[k]) * base.profile(u)
+
+    noise = dataclasses.replace(base, form="custom-callback", sigma2_callback=late_surge)
+    rep = validate_noise(noise, model.drift.p, plan)
+    for name in ("noise-lipschitz", "noise-growth", *HS_CHECKS):
+        c = rep.check(name)
+        assert not c.passed and c.witness["t"] == T_MAX, name
+    for name in HS_CHECKS:
+        assert rep.check(name).samples == 3 * plan.n_fields
+    steady = validate_noise(dataclasses.replace(noise, sigma2_callback=lambda t, c, u, k: late_surge(0.0, c, u, k)),
+                            model.drift.p, plan)
+    assert steady.passed
+
+
 WITNESS_PLAN = SamplingPlan(n_samples=2000, n_fields=7, seed=3)
 
 
@@ -558,6 +625,52 @@ def test_sample_blocks_do_not_change_reports(case, monkeypatch):
     whole = run()
     monkeypatch.setattr("fracldp.models._SAMPLE_BLOCK", 997)
     assert run() == whole
+
+
+# the second plan draws 18 000 samples: three blocks of _SAMPLE_BLOCK
+TWIN_PLANS = {"2000": WITNESS_PLAN, "12000": SamplingPlan(n_samples=12000, n_fields=5, seed=11)}
+
+
+def _bits(x):
+    """A report value with each float written as ``float.hex``, so that
+    equality is bit equality."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x
+
+
+def _report_bits(rep):
+    return [(c.name, _bits(c.margin), c.passed, c.samples, _bits(c.witness)) for c in rep.checks], _bits(rep.constants)
+
+
+@pytest.mark.parametrize("plan", sorted(TWIN_PLANS))
+@pytest.mark.parametrize("preset", sorted(zoo.PRESETS))
+def test_time_free_specs_match_their_every_time_callback_twins(preset, plan):
+    """A spec sampled at t = 0 only reports what the per-time loop reports for
+    the same functions wrapped as callbacks, which it runs at every time."""
+    m, plan = zoo.PRESETS[preset].build(), TWIN_PLANS[plan]
+    drift_twin = dataclasses.replace(m.drift, form="custom-callback", callback=m.drift.value)
+    assert _report_bits(validate_drift(drift_twin, plan, grid=m.grid)) == _report_bits(
+        validate_drift(m.drift, plan, grid=m.grid)
+    )
+    noise = m.noise
+    assert noise.separable
+    noise_twin = dataclasses.replace(
+        noise, form="custom-callback",
+        sigma2_callback=lambda t, coords, u, k: np.sqrt(noise.coeff_gamma[k]) * noise.profile(u),
+    )
+    twin_rep = validate_noise(noise_twin, m.drift.p, plan)
+    # the twin's HS checks also run at every time: their worst margins are
+    # the ones at t = 0, and they count (t, field) pairs
+    for c in twin_rep.checks:
+        if c.name in HS_CHECKS:
+            assert c.witness.pop("t") == 0.0 and c.samples == 3 * plan.n_fields, c.name
+            c.samples = plan.n_fields
+    assert _report_bits(twin_rep) == _report_bits(validate_noise(noise, m.drift.p, plan))
 
 
 _FAULT_PROBE = """
@@ -655,6 +768,16 @@ def test_sampling_plan_validation():
     for n_fields in (0, -3):
         with pytest.raises(DomainError):
             SamplingPlan(n_samples=100, n_fields=n_fields)
+
+
+@pytest.mark.parametrize("n", [100, 101, 20000, 100001])
+def test_scalar_samples_count(n):
+    """A plan draws n + n // 2 scalar points: n // 2 log-spaced magnitudes
+    with both signs, n - n // 2 - 1 uniforms, and zero."""
+    plan = SamplingPlan(n_samples=n, seed=2)
+    u = _scalar_samples(plan, np.random.default_rng(plan.seed))
+    assert len(u) == n + n // 2
+    assert np.count_nonzero(u == 0.0) == 1
 
 
 def test_zoo_members_validate_drift():
