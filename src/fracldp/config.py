@@ -30,7 +30,7 @@ from .ldp import LdpExperimentPlan
 from .models import DriftSpec, ModelSpec, NoiseSpec, SamplingPlan, noise_exponent_range
 from .rate import OptimizerSettings, RateQuery
 from .skeleton import TimeGrid
-from .stochastic import SdeConfig
+from .stochastic import SdeConfig, WienerDriver
 from .zoo import BUILD_RANGES, PRESETS, build_model, default_initial_datum
 
 class ConfigError(ValueError):
@@ -117,7 +117,7 @@ _TIMEGRID_KEYS = {
 }
 
 _RUN_KEYS = {
-    "seed": (0, at_least(0)),
+    "seed": (0, WienerDriver.RANGES["seed"]),
     "output_dir": (
         "runs/out", Range(lambda v: isinstance(v, str) and v != "", "non-empty path string")
     ),

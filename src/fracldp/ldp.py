@@ -19,22 +19,23 @@ events for the open/closed probes use the "l2rms" distance (time-RMS L2) of
 ``skeleton.distance_weights``, the smooth norm ``constrained_rate_minimum``
 works in, so measured frequencies and rate constants refer to one geometry.
 
-Every probe runs the same campaign: one batch per (epsilon, cell), a cell
-being a datum, an optional shift control and its reference paths. Cell c at
-epsilon index e draws streams from (e * n_cells + c) * n_paths on, so no two
-cells share a path. Blown paths are counted on the report; a cell where
-every path blew up raises ``EstimationError``. The fw and dz probes run
-through ``_probe``: it runs the campaign, sums the blown paths and
-passes the per-epsilon cells to the trend verdict, and each probe supplies
-only its tally of one epsilon's distances into records and cell margins.
-The fw probe and ``estimate_ball_probability`` (d < delta, d >= delta) and
-the convergence sweep (not d <= eta) read only indicators at one radius, so
-they decide each combined-distance (path, reference) event early through
-the ``event_radius`` of ``batch_paths``: a decided pair's true distance
-exceeds the radius by more than 1e-12 relative, and every other pair keeps
-its exact distance. The dz probe (per-set radii) keeps full distances.
-Uniformity rows are derived from the fw-lower cells with no extra
-simulation.
+Every probe runs the same campaign: one ``stochastic.batch_distances`` batch
+per (epsilon, cell), a cell being a datum, an optional shift control and its
+reference paths; a cell reads only distances and blown paths, so no per-path
+norms or summaries are formed. Cell c at epsilon index e draws streams from
+(e * n_cells + c) * n_paths on, so no two cells share a path. Blown paths
+are counted on the report; a cell where every path blew up raises
+``EstimationError``. The fw and dz probes run through ``_probe``: it runs
+the campaign, sums the blown paths and passes the per-epsilon cells to the
+trend verdict, and each probe supplies only its tally of one epsilon's
+distances into records and cell margins. The fw probe and
+``estimate_ball_probability`` (d < delta, d >= delta) and the convergence
+sweep (not d <= eta) read only indicators at one radius, so they decide each
+combined-distance (path, reference) event early through the ``event_radius``
+of ``batch_distances``: a decided pair's true distance exceeds the radius by
+more than 1e-12 relative, and every other pair keeps its exact distance. The
+dz probe (per-set radii) keeps full distances. Uniformity rows are derived
+from the fw-lower cells with no extra simulation.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .grids import at_least, check_ranges, check_value
 from .models import ModelSpec
 from .rate import BALL_RADIUS, RateResult, g0_map, level_set_controls, sample_level_set
 from .skeleton import Control, TimeGrid, solve_skeleton
-from .stochastic import EstimationError, SdeConfig, batch_paths, wilson_interval
+from .stochastic import EstimationError, SdeConfig, batch_distances, wilson_interval
 
 
 class DependencyError(RuntimeError):
@@ -145,16 +146,15 @@ def _simulate_cell(model, cfg, n_paths, base_seed, stream_offset, cell, which,
     indicators d < r and d >= r passes r as ``event_radius``.
     """
     u0, shift, references = cell
-    sums = batch_paths(
+    dists, blown = batch_distances(
         model, u0, cfg, n_paths, base_seed, stream_offset=stream_offset, shift=shift,
         references=references, which=which, event_radius=event_radius,
     )
-    blown = sum(1 for s in sums if s.blow_step is not None)
     if blown == n_paths:
         raise EstimationError(
             f"every path blew up at eps={cfg.epsilon} (streams from {stream_offset})"
         )
-    return np.vstack([s.dists for s in sums]), blown
+    return dists, blown
 
 
 def _campaign(model, timegrid, eps_list, n_paths, linf_guard, cells, base_seed, which,

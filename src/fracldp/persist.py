@@ -23,13 +23,23 @@ from typing import Iterable
 import numpy as np
 
 
+_PLAIN = frozenset({str, int, bool, type(None)})  # JSON-ready as they are
+
+
 def json_ready(obj):
     """Recursively coerce numpy scalars/arrays and dataclasses to JSON types.
 
     Non-finite floats become the strings "inf"/"-inf"/"nan": strict JSON has
     no literal for them, and an infeasible rate minimum (+inf) is a value
-    worth persisting, not an encoding accident.
+    worth persisting, not an encoding accident. A flat dict of str keys and
+    plain scalars (finite floats included), such as a path record, is
+    returned as it is: coercing it value by value would rebuild it unchanged.
     """
+    if type(obj) is dict and all(
+        type(k) is str and (type(v) in _PLAIN or (type(v) is float and math.isfinite(v)))
+        for k, v in obj.items()
+    ):
+        return obj
     if isinstance(obj, float) and not math.isfinite(obj):
         return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, (bool, int, float, str)) or obj is None:
@@ -65,12 +75,14 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
         raise
 
 
+# one encoder for every line: ``json.dumps`` with options builds a new one per call
+_NDJSON_ENCODER = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":"), allow_nan=False
+)
+
+
 def encode_ndjson(records: Iterable[dict]) -> bytes:
-    lines = [
-        json.dumps(json_ready(rec), sort_keys=True, ensure_ascii=False,
-                   separators=(",", ":"), allow_nan=False)
-        for rec in records
-    ]
+    lines = [_NDJSON_ENCODER.encode(json_ready(rec)) for rec in records]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 

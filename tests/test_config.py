@@ -29,7 +29,7 @@ from fracldp.models import (
 )
 from fracldp.rate import OptimizerSettings, RateQuery, g0_map
 from fracldp.skeleton import Control, TimeGrid
-from fracldp.stochastic import SdeConfig
+from fracldp.stochastic import SdeConfig, WienerDriver
 from fracldp.zoo import PRESETS, scalar_linear_model
 
 
@@ -190,6 +190,7 @@ AGREEMENT = {
         forcing=ForcingSpec(grid=_MODEL.grid))),
     "model.n_modes": ("simulate", BUILT, lambda v: _noise(n_modes=v)),
     "model.saturation": ("simulate", BUILT, lambda v: _noise(saturation=v)),
+    "run.seed": ("simulate", None, lambda v: WienerDriver(n_modes=1, seed=v)),
 }
 
 JSON_SCALARS = st.one_of(

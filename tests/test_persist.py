@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracldp.persist import (
     RunManifest,
@@ -64,6 +66,34 @@ def test_ndjson_sorted_keys_one_line_per_record():
 def test_ndjson_never_emits_bare_infinity():
     data = encode_ndjson([{"v": float("inf")}])
     assert b"Infinity" not in data
+
+
+FLAT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(st.dictionaries(st.text(max_size=3), FLAT_VALUES, max_size=8), max_size=5))
+def test_flat_records_encode_as_the_recursive_path_does(records):
+    """A flat record of plain scalars skips the per-value coercion; the bytes
+    must be those of coercing every value (inf and nan still become strings,
+    np.float64 is still written as its float)."""
+    expected = "".join(
+        json.dumps({str(k): json_ready(v) for k, v in rec.items()}, sort_keys=True,
+                   ensure_ascii=False, separators=(",", ":"), allow_nan=False) + "\n"
+        for rec in records
+    ).encode("utf-8")
+    assert encode_ndjson(records) == expected
+
+
+def test_flat_record_with_non_finite_floats_is_coerced():
+    rec = {"a": 1.0, "b": float("-inf"), "c": np.float64("nan"), "d": None, "e": True}
+    assert json_ready(rec) == {"a": 1.0, "b": "-inf", "c": "nan", "d": None, "e": True}
+    assert rec["b"] == float("-inf")  # the caller's record is not modified
 
 
 def test_ndjson_utf8_not_escaped():

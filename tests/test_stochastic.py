@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracldp import zoo
-from fracldp.grids import DomainError, Field, GridMismatchError, array_l2_sq
+from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec, array_l2_sq
 from fracldp.ldp import uniform_convergence_experiment
 from fracldp.skeleton import BlowUpError, Control, TimeGrid, solve_skeleton
 from fracldp.stochastic import (
@@ -16,6 +16,9 @@ from fracldp.stochastic import (
     SdeConfig,
     WienerDriver,
     _mode_weights,
+    _row_dot,
+    _stream_keys,
+    batch_distances,
     batch_paths,
     blow_fraction,
     energy_estimate,
@@ -36,6 +39,41 @@ def test_driver_validation():
     for stream_id in (-1, np.nan):
         with pytest.raises(DomainError):
             WienerDriver(n_modes=2, seed=1, stream_id=stream_id)
+
+
+def test_driver_rejects_a_bad_seed(default_setup):
+    for seed in (-1, 1.5, np.nan, True):
+        with pytest.raises(DomainError, match="seed"):
+            WienerDriver(n_modes=1, seed=seed)
+    # checked when the batch's driver is built, before any key is hashed
+    m, u0, tg = default_setup
+    cfg = SdeConfig(epsilon=0.1, timegrid=tg)
+    for run in (batch_paths, batch_distances):
+        with pytest.raises(DomainError, match="seed"):
+            run(m, u0, cfg, 2, base_seed=-1)
+
+
+def _seed_sequence_keys(seed, first, n):
+    return np.array([
+        np.random.SeedSequence(entropy=seed, spawn_key=(first + b,)).generate_state(2, np.uint64)
+        for b in range(n)
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 5, 2**130 + 7])
+@pytest.mark.parametrize("first, n", [
+    (0, 50),  # one-word spawn keys
+    (2**32 - 25, 50),  # crosses into two-word spawn keys
+    (9, 1),
+    (2**32 + 3, 1),
+    (2**64 - 3, 6),  # crosses into three words: one SeedSequence per stream
+])
+def test_stream_keys_equal_seed_sequence(seed, first, n):
+    """The vectorized hash reproduces SeedSequence's keys bit for bit, for
+    entropy of one to five words and spawn keys of one to three words."""
+    keys = _stream_keys(seed, first, n)
+    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+    assert np.array_equal(keys, _seed_sequence_keys(seed, first, n))
 
 
 def test_driver_reproducible_and_stream_distinct():
@@ -210,6 +248,111 @@ def test_batch_summaries_do_not_depend_on_batch_size(default_setup):
         return [(s.as_record(), s.probe_inner) for s in sums[:14]]
 
     assert records(2) == records(7) == records(64)
+
+
+@pytest.mark.parametrize("which, radius", [
+    ("combined", np.inf), ("combined", 0.06), ("combined", 0.0),
+    ("l2rms", np.inf), ("l2rms", 0.06), ("terminal", np.inf), ("uniform", 0.06),
+])
+def test_batch_distances_do_not_depend_on_batch_size(default_setup, which, radius):
+    """Every kind of distance, decided early or not, is bit-identical in any
+    batch of two or more paths, and ``batch_distances`` returns the
+    ``dists`` of ``batch_paths`` bit for bit."""
+    m, u0, tg = default_setup
+    cfg = SdeConfig(epsilon=0.1, timegrid=tg)
+    refs = [solve_skeleton(m, u0, Control.zero(tg, m.noise.n_modes)).trajectory,
+            solve_skeleton(m, u0, Control(tg, np.full((tg.n_steps, m.noise.n_modes), 0.6))).trajectory]
+
+    def distances(batch):
+        rows = []
+        for start in range(0, 14, batch):
+            dists, _ = batch_distances(m, u0, cfg, batch, base_seed=5, stream_offset=start,
+                                       references=refs, which=which, event_radius=radius)
+            rows.append(dists)
+        return np.vstack(rows)[:14]
+
+    full = distances(2)
+    assert np.array_equal(full, distances(7))
+    assert np.array_equal(full, distances(64))
+    sums = batch_paths(m, u0, cfg, 14, base_seed=5, references=refs, which=which,
+                       event_radius=radius)
+    assert np.array_equal(full, np.vstack([s.dists for s in sums]))
+    if which == "combined" and 0 < radius < np.inf:
+        # some pairs decided early, some kept: the indicators at the radius are still exact
+        assert np.isinf(full).any() and np.isfinite(full).any()
+        plain = np.vstack([
+            batch_distances(m, u0, cfg, 7, base_seed=5, stream_offset=s, references=refs)[0]
+            for s in (0, 7)
+        ])
+        assert np.array_equal(full < radius, plain < radius)
+        assert np.array_equal(full[np.isfinite(full)], plain[np.isfinite(full)])
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 10, 16, 65, 128])
+def test_row_dot_does_not_depend_on_rows_or_alignment(n):
+    """A row's ``_row_dot`` is the same bits alone, in any batch, at any
+    offset in memory, aligned to 8 bytes or not."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((9, n)) * 10.0 ** rng.integers(-3, 4, size=(9, 1))
+    b = rng.standard_normal((9, n))
+    w = rng.random(n)
+    ref = [_row_dot(a[i:i + 1], b[i:i + 1]) for i in range(9)]
+    ref_w = [_row_dot(a[i:i + 1], b[i:i + 1], w) for i in range(9)]
+
+    def placed(x, offset, byte_shift):
+        """A copy of ``x`` that starts ``offset`` floats plus ``byte_shift`` bytes into a buffer."""
+        buf = np.zeros(8 * (x.size + offset + 1) + byte_shift, dtype=np.uint8)
+        start = 8 * offset + byte_shift
+        view = buf[start:start + 8 * x.size].view(np.float64).reshape(x.shape)
+        view[...] = x
+        return view
+
+    for offset in (0, 1, 3):
+        for byte_shift in (0, 4):
+            for lo, hi in ((0, 9), (2, 7), (4, 5)):
+                pa, pb = placed(a[lo:hi], offset, byte_shift), placed(b[lo:hi], offset + 1, 0)
+                assert pa.flags.aligned == (byte_shift == 0)
+                got, got_w = _row_dot(pa, pb), _row_dot(pa, pb, w)
+                for i in range(lo, hi):
+                    assert got[i - lo] == ref[i][0]
+                    assert got_w[i - lo] == ref_w[i][0]
+
+
+def _pair_setup(case):
+    if case == "default":
+        m = zoo.default_model()
+        return m, zoo.default_initial_datum(m.grid), TimeGrid(0.5, 50)
+    grid = GridSpec(dim=2 if case == "2-d" else 1, half_length=4.0, points_per_dim=16, alpha=0.75)
+    m = zoo.build_model(grid=grid) if case == "2-d" else zoo.build_model(
+        grid=grid, drift_form="pure_power", p=3.0)
+    return m, zoo.default_initial_datum(grid), TimeGrid(0.25, 20)
+
+
+@pytest.mark.parametrize("case", ["default", "2-d", "pure-power-p3"])
+def test_combined_pair_distances_drift_by_roundoff(case):
+    """The combined pair norms reduce by ``_row_dot``, not the ``np.sum`` of
+    ``skeleton.path_distance``. Against the post-hoc distance of the matching
+    single path the largest relative difference measured on the default case
+    (the ``default_setup`` of this file) is 8.3e-15, as it was with ``np.sum``
+    reductions: the batch step's own rounding against the single-path sweep
+    dominates. The 2-D grid (interleaved spectral rows) reads 5.5e-15 and
+    p = 3 (the |diff|^(p/2) root) 3.5e-16. The bound leaves room for other
+    hosts' libm and SIMD widths."""
+    from fracldp.skeleton import path_distance
+
+    m, u0, tg = _pair_setup(case)
+    refs = [solve_skeleton(m, u0, Control.zero(tg, m.noise.n_modes)).trajectory,
+            solve_skeleton(m, u0, Control(tg, np.full((tg.n_steps, m.noise.n_modes), 0.6))).trajectory]
+    worst = 0.0
+    for eps in (0.1, 0.5):
+        cfg = SdeConfig(epsilon=eps, timegrid=tg)
+        dists, _ = batch_distances(m, u0, cfg, 6, base_seed=42, references=refs)
+        for b in range(6):
+            path = simulate_sde(m, u0, cfg, WienerDriver(m.noise.n_modes, 42, b)).trajectory
+            for j, ref in enumerate(refs):
+                exact = path_distance(m.grid, tg, path, ref, m.drift.p)
+                worst = max(worst, abs(dists[b, j] - exact) / exact)
+    assert worst <= 1e-13
 
 
 def test_batch_distance_accumulation_matches_post_hoc(default_setup):
