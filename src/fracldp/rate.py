@@ -125,7 +125,13 @@ _GRADIENT_TOL = 1e-9  # L-BFGS-B projected-gradient tolerance ("gtol")
 
 
 def _apply_propagator(kernel: StepKernel, lam: np.ndarray) -> np.ndarray:
-    """The integrating-factor operator; real-symmetric, hence self-adjoint."""
+    """The integrating-factor operator; real-symmetric, hence self-adjoint.
+
+    The costate sweep applies it this way only on grids too large for
+    ``kernel.propagator_matrix``. ``_stepwise_least_squares`` always applies
+    it this way: its controls reach the bytes of the path-query records, and
+    the dense matrix would move them by roundoff.
+    """
     hat = kernel.rfft(lam)
     hat *= kernel.half_propagator
     return kernel.irfft(hat)
@@ -245,18 +251,29 @@ def _adjoint_grad(model, kernel, states, weights, dpen) -> np.ndarray:
 
     J_n and sigma_k(u_n) depend on the forward states only, so the sweep runs
     in two phases: ``_linearize`` builds them for every step at once, and the
-    backward loop keeps only the propagator and the recursion, storing each
-    E lam_{n+1}; the gradient is then two contractions over that stack.
+    backward loop keeps only the propagator and the recursion on flattened
+    fields, storing each E lam_{n+1}; the gradient is then two contractions
+    over that stack.
+
+    E is applied in one of two ways, which agree to roundoff (a relative
+    1e-15): as one product ``lam @ kernel.propagator_matrix`` per step on
+    grids of at most ``skeleton.DENSE_FACTOR_MAX_POINTS`` points, and as the
+    ``rfftn``/``irfftn`` pair of ``_apply_propagator`` on larger grids.
     """
     tg = kernel.timegrid
     noise = model.noise
     jac, sig2 = _linearize(model, kernel, states, weights)
-    e_lams = np.empty_like(jac)
+    matrix = kernel.propagator_matrix
+    jac = jac.reshape(tg.n_steps, -1)
+    dpen = dpen.reshape(tg.n_steps + 1, -1)
+    e_flat = np.empty_like(jac)
     lam = dpen[tg.n_steps]
     for n in range(tg.n_steps - 1, -1, -1):
-        e_lams[n] = _apply_propagator(kernel, lam)
-        lam = jac[n] * e_lams[n] + dpen[n]
-    e_flat = e_lams.reshape(tg.n_steps, -1)
+        if matrix is None:
+            e_flat[n] = _apply_propagator(kernel, lam.reshape(model.grid.shape)).ravel()
+        else:
+            np.matmul(lam, matrix, out=e_flat[n])
+        lam = jac[n] * e_flat[n] + dpen[n]
     grad = e_flat @ noise.sigma1.reshape(noise.n_modes, -1).T
     # in the column-major layout a fancy index gives: einsum's rounding depends on it
     grad += np.einsum("nks,ns->nk", sig2, np.asfortranarray(e_flat[:, noise.kappa_support[0]]))
@@ -487,8 +504,12 @@ def check_gradient(
 
     Cross-validation utility: the optimizer trusts the adjoint for built-in
     model forms, and this compares it against the finite-difference fallback
-    on a random control.
+    on a random control. A model without exact gradients (a callback with no
+    derivative) has no adjoint to check: DomainError, not a NaN that every
+    ``err > tol`` guard would let pass.
     """
+    if not _has_exact_gradients(model):
+        raise DomainError("model has no exact gradients: no adjoint to check")
     rng = np.random.default_rng(seed)
     kernel = StepKernel.build(model, tg)
     v = scale * rng.standard_normal(tg.n_steps * model.noise.n_modes)

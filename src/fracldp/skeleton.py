@@ -27,6 +27,7 @@ the bins 0..N/2, and the seminorm diagnostics weight it with
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -41,6 +42,15 @@ from .grids import (
     half_spectrum_multipliers,
 )
 from .models import ModelSpec, growth_constant, noise_apply_array
+
+
+# Largest grid (points over all dimensions) whose integrating factor the rate's
+# costate sweep applies as a dense matrix. One apply to a single field, in us,
+# dense against the rfftn/irfftn pair (2-vCPU x86 host, 1 BLAS thread, median
+# of 7 x 2000): 2.3/27.5 at 1-D 8, 5.1/30.9 at 1-D 128, 12.7/33.2 at 1-D 256,
+# 11.8/35.5 at 2-D 16^2; 47.5/24.1 at 1-D 512, 56.4/63.6 at 3-D 8^3 and
+# 419/45.8 at 1-D 1024. The 1-D 512 loss sets the cut.
+DENSE_FACTOR_MAX_POINTS = 256
 
 
 class BlowUpError(RuntimeError):
@@ -134,6 +144,17 @@ class StepKernel:
     multipliers that ``array_seminorm_sq`` takes. ``fft_shape`` and
     ``fft_axes`` are the ``s`` and ``axes`` of every transform, built once
     here rather than on each of the many calls per sweep.
+
+    ``propagator_matrix`` is the same integrating factor as a dense, read-only
+    (M, M) matrix over the M = prod(grid.shape) flattened points, or None
+    above ``DENSE_FACTOR_MAX_POINTS``. Only the rate's costate sweep applies
+    it, as ``lam @ matrix``: on grids of at most 256 points one small
+    matrix-vector product costs 2-13 us, where the ``rfftn``/``irfftn`` pair
+    on a single field costs 27-36 us, almost all of it per-call overhead;
+    on 512 points in 1-D the O(M^2) product already costs twice the
+    transforms. It is built on first access, not in ``build``, so the
+    kernels of ``simulate`` and the Monte Carlo probes, which never run the
+    adjoint, do not pay for it.
     """
 
     model: ModelSpec
@@ -161,6 +182,21 @@ class StepKernel:
             fft_shape=grid.shape,
             fft_axes=tuple(range(-grid.dim, 0)),
         )
+
+    @cached_property
+    def propagator_matrix(self) -> Optional[np.ndarray]:
+        """The integrating factor E as a matrix A with ``u.ravel() @ A`` the
+        flattened ``irfft(half_propagator * rfft(u))``; None above
+        ``DENSE_FACTOR_MAX_POINTS``. Row i is E applied to the i-th unit
+        field, pushed through this kernel's own transforms."""
+        size = self.model.grid.n_total
+        if size > DENSE_FACTOR_MAX_POINTS:
+            return None
+        hat = self.rfft(np.eye(size).reshape(size, *self.fft_shape))
+        hat *= self.half_propagator
+        matrix = self.irfft(hat).reshape(size, size)
+        matrix.setflags(write=False)
+        return matrix
 
     def rfft(self, u: np.ndarray) -> np.ndarray:
         """Half-spectrum ``rfftn`` of ``u`` over the spatial axes."""

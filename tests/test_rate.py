@@ -9,6 +9,7 @@ import scipy.optimize
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
 from fracldp.models import ModelSpec
 from fracldp.skeleton import (
+    DENSE_FACTOR_MAX_POINTS,
     BlowUpError,
     Control,
     StepKernel,
@@ -24,6 +25,7 @@ from fracldp.zoo import (
     default_initial_datum,
     default_model,
     fractional_model,
+    linear_additive_model,
     scalar_linear_model,
     standard_grid,
     zoo,
@@ -43,6 +45,8 @@ from fracldp.rate import (
     minimize_rate,
     sample_level_set,
 )
+
+from gaussian_oracle import gaussian_oracle
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +225,8 @@ _GRAD_MODELS = {
     "fractional": lambda: fractional_model(),
     "2d": lambda: build_model(GridSpec(dim=2, half_length=2.0, points_per_dim=16, alpha=0.8)),
     "callbacks": _time_dependent_callback_model,
+    # above DENSE_FACTOR_MAX_POINTS: the costate sweep takes the FFT pair
+    "512": lambda: default_model(standard_grid(points=512)),
 }
 
 
@@ -251,6 +257,67 @@ def test_batched_adjoint_matches_per_step_sweep(name, target):
     ref = _per_step_adjoint_grad(model, kernel, states, weights, dpen)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+_DENSE_GRIDS = {
+    "1d-8": GridSpec(dim=1, half_length=2.0, points_per_dim=8, alpha=1.0),
+    "1d-128": standard_grid(),
+    "1d-256": standard_grid(alpha=0.6, points=256),
+    "2d-16": GridSpec(dim=2, half_length=2.0, points_per_dim=16, alpha=0.8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_GRIDS))
+def test_propagator_matrix_matches_the_fft_pair(name):
+    """The dense integrating factor is E up to roundoff, read-only, and built
+    once per kernel."""
+    grid = _DENSE_GRIDS[name]
+    kernel = StepKernel.build(build_model(grid), TimeGrid(1.0, 16))
+    matrix = kernel.propagator_matrix
+    assert matrix.shape == (grid.n_total, grid.n_total)
+    assert not matrix.flags.writeable
+    assert kernel.propagator_matrix is matrix
+    fields = np.random.default_rng(6).standard_normal((3, *grid.shape))
+    want = rate._apply_propagator(kernel, fields).reshape(3, -1)
+    got = fields.reshape(3, -1) @ matrix
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", [
+    standard_grid(points=512),
+    GridSpec(dim=3, half_length=2.0, points_per_dim=8, alpha=0.8),
+], ids=["1d-512", "3d-8"])
+def test_propagator_matrix_absent_above_the_crossover(grid):
+    assert grid.n_total > DENSE_FACTOR_MAX_POINTS
+    assert StepKernel.build(build_model(grid), TimeGrid(1.0, 16)).propagator_matrix is None
+
+
+@pytest.mark.parametrize("points", [32, 512])
+def test_variational_value_matches_the_gaussian_oracle(points):
+    """One L-BFGS-B run of the rate objective at the fixed penalty mu = c/2 is
+    the Laplace variational value V of the linear-additive preset, which the
+    discrete-exact oracle gives in closed form. 32 points take the dense
+    costate sweep, 512 the FFT pair."""
+    grid = standard_grid(alpha=0.75, points=points)
+    model = linear_additive_model(grid)
+    tg = TimeGrid(0.5, 64)
+    u0 = default_initial_datum(grid)
+    a, c = -0.5 * u0.values, 20.0
+    value, _ = gaussian_oracle(model, u0, tg, a, c)
+    kernel = StepKernel.build(model, tg)
+    assert (kernel.propagator_matrix is None) == (points > DENSE_FACTOR_MAX_POINTS)
+    penalty = rate._quadratic_penalty(grid, tg, "terminal", a)
+
+    def sweep(weights):
+        return rate._forward_states(model, kernel, u0, weights)[0]
+
+    sol = scipy.optimize.minimize(
+        lambda z: rate._objective_and_grad(model, kernel, sweep, z, 0.5 * c, penalty),
+        np.zeros(tg.n_steps * model.noise.n_modes), jac=True, method="L-BFGS-B",
+        options={"gtol": rate._GRADIENT_TOL, "ftol": 1e-15},
+    )
+    assert sol.success
+    assert sol.fun == pytest.approx(value, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["default", "2d"])
@@ -323,6 +390,16 @@ def test_forward_sweep_blow_up_names_the_first_non_finite_step():
     with pytest.raises(BlowUpError) as err:
         rate._forward_states(model, kernel, u0, weights)
     assert err.value.step == ref_step
+
+
+def test_check_gradient_rejects_models_without_exact_gradients():
+    """A drift without a derivative has no adjoint: the check raises rather
+    than return a NaN that ``err > tol`` would let pass."""
+    model = scalar_linear_model()
+    fd = replace(model, drift=replace(model.drift, deriv_callback=None))
+    u0 = Field(model.grid, np.full(model.grid.shape, 0.5))
+    with pytest.raises(DomainError, match="exact gradients"):
+        check_gradient(fd, u0, TimeGrid(1.0, 8))
 
 
 def test_adjoint_gradient_time_dependent_callbacks():

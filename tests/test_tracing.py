@@ -1,5 +1,5 @@
 """The benchmark's tracer (``perfbench/tracing.py``), installed in-process
-around one small run of each Monte Carlo subcommand. It wraps fracldp's layer
+around one small run of each Monte Carlo subcommand and one small rate solve. It wraps fracldp's layer
 entry points and reads their arguments and results, so a change to what a
 traced function takes or returns shows up here, not first in a traced
 benchmark run."""
@@ -11,7 +11,9 @@ import os
 import numpy as np
 import pytest
 
-from fracldp import cli, stochastic
+from fracldp import cli, rate, stochastic, zoo
+from fracldp.grids import Field
+from fracldp.skeleton import Control, TimeGrid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -60,3 +62,29 @@ def test_traced_run_computes_its_layer_metrics(tmp_path, capsys, name):
     if name == "simulate":
         assert metrics["stochastic.batch_paths.calls"] == 1
         assert metrics["stochastic.batch_paths.path_steps"] == 4 * 8
+
+
+def test_traced_rate_solve_runs_the_adjoint():
+    """A small endpoint solve under the tracer reaches L-BFGS, so the adjoint
+    spans and the iteration count are read, and uninstall restores the
+    bindings the tracer rebinds in ``rate``."""
+    model = zoo.default_model()
+    tg = TimeGrid(0.2, 8)
+    u0 = zoo.default_initial_datum(model.grid)
+    planted = Control(tg, np.full((tg.n_steps, model.noise.n_modes), 0.5))
+    target = Field(model.grid, rate.g0_map(model, u0, planted, tg)[-1])
+    query = rate.RateQuery(u0=u0, target_endpoint=target, tau_end=1e-3)
+    originals = (rate._adjoint_grad, rate._objective_and_grad, rate._forward_states)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        mark = tracer.mark()
+        result = rate.minimize_rate(model, query, tg)
+    finally:
+        tracer.uninstall()
+    assert result.converged
+    assert (rate._adjoint_grad, rate._objective_and_grad, rate._forward_states) == originals
+    metrics = tracer.layer_metrics(mark)
+    assert metrics["rate.objective_and_grad.calls"] > 0
+    assert metrics["rate.adjoint_s"] > 0
+    assert metrics["rate.minimize_rate.lbfgs_iters"] == result.iterations > 0
