@@ -46,7 +46,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .grids import DomainError, Field, GridMismatchError, l2_norm
+from .grids import DomainError, Field, GridMismatchError
 from .grids import EPS_LADDER, NON_NEGATIVE, NON_NEGATIVE_OR_INF, POSITIVE, Range
 from .grids import at_least, check_ranges, check_value
 from .models import ModelSpec
@@ -69,9 +69,8 @@ class LdpExperimentPlan:
     """Shared layout of one Monte Carlo large-deviation campaign.
 
     ``initial_data`` is a finite sample of the data family the uniform
-    statements quantify over; declaring ``initial_radius`` asserts it is a
-    bounded-ball sample and is validated here. ``delta`` is the path-norm
-    event radius, ``s_levels`` the action levels of the level-set probe.
+    statements quantify over. ``delta`` is the path-norm event radius,
+    ``s_levels`` the action levels of the level-set probe.
     """
 
     model: ModelSpec
@@ -82,7 +81,6 @@ class LdpExperimentPlan:
     s_levels: tuple = ()
     n_paths: int = 400
     slack: float = 0.5
-    initial_radius: Optional[float] = None
     linf_guard: float = 1.0e6
 
     RANGES: ClassVar[dict] = {
@@ -107,13 +105,6 @@ class LdpExperimentPlan:
         for u0 in self.initial_data:
             if u0.grid != self.model.grid:
                 raise GridMismatchError("initial datum grid does not match the model")
-        if self.initial_radius is not None:
-            for u0 in self.initial_data:
-                if l2_norm(u0) > self.initial_radius + 1e-12:
-                    raise DomainError(
-                        "initial datum violates the declared ball radius "
-                        f"({l2_norm(u0):.4f} > {self.initial_radius})"
-                    )
 
 
 @dataclass
@@ -571,8 +562,6 @@ def uniform_convergence_experiment(
     eta: float,
     n_paths: int,
     base_seed: int,
-    radius_bound: Optional[float] = None,
-    action_bound: Optional[float] = None,
 ) -> ConvergenceTable:
     """Estimate p(eps) = max over (u0, v) cells of P(||u^eps_v - u_v|| > eta).
 
@@ -580,22 +569,13 @@ def uniform_convergence_experiment(
     the cells are the (u0, v) pairs in row-major order, each simulated with
     the shift v. Pass verdict: p_hat non-increasing along the (decreasing)
     eps_list within CI slack, and the smallest-eps estimate CI-separated
-    below the largest-eps one. ``radius_bound``/``action_bound`` optionally
-    declare the bounded sets the sweep quantifies over; members violating
-    them are rejected.
+    below the largest-eps one.
     """
     if not u0_set or not v_set:
         raise DomainError("u0_set and v_set must be non-empty")
     eps_arr = [float(e) for e in eps_list]
     check_value("eps_list", eps_arr, EPS_LADDER)
     check_value("eta", eta, POSITIVE)
-    for i, u0 in enumerate(u0_set):
-        norm = l2_norm(u0)
-        if radius_bound is not None and norm > radius_bound + 1e-9:
-            raise DomainError(f"initial datum {i} has norm {norm:.4g} outside the declared ball {radius_bound}")
-    for j, v in enumerate(v_set):
-        if action_bound is not None and 0.5 * v.l2_sq() > action_bound + 1e-9:
-            raise DomainError(f"control {j} has action {0.5 * v.l2_sq():.4g} outside the declared bound {action_bound}")
 
     cells = [(u0, v, [solve_skeleton(model, u0, v).trajectory]) for u0 in u0_set for v in v_set]
     rows = []

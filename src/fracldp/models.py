@@ -126,49 +126,6 @@ class DriftSpec:
         return None
 
 
-class DriftOverflowError(FloatingPointError):
-    """|u|^(p-1) left the float range; carries the first offending flat index."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"drift evaluation overflowed at flat index {index}")
-
-
-def drift_eval(drift: DriftSpec, t: float, u: Field) -> Field:
-    """Evaluate F(t, x, u) on a field; overflow is an error, not an inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = drift.value(t, u.grid.coords(), u.values)
-    out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
-        idx = int(np.flatnonzero(~np.isfinite(out.reshape(-1)))[0])
-        raise DriftOverflowError(idx)
-    return Field(u.grid, out)
-
-
-def elementary_margins(u1, u2, p: float):
-    """Margins of the two power-monotonicity inequalities (vectorized).
-
-    With D = (|u1|^(p-2)u1 - |u2|^(p-2)u2)*(u1-u2):
-      margin1 = D - 2^(1-p)*|u1-u2|^p        (power lower bound)
-      margin2 = D - (|u1|^(p-2)+|u2|^(p-2))*(u1-u2)^2 / 2   (mean lower bound)
-
-    Both are >= 0 for every real pair when p >= 2.
-    """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    d = u1 - u2
-    big = (signed_power(u1, p - 1.0) - signed_power(u2, p - 1.0)) * d
-    m1 = big - 2.0 ** (1.0 - p) * np.abs(d) ** p
-    m2 = big - 0.5 * (np.abs(u1) ** (p - 2.0) + np.abs(u2) ** (p - 2.0)) * d**2
-    return m1, m2
-
-
-def elementary_inequalities(u1: float, u2: float, p: float) -> tuple[float, float]:
-    """Scalar margins of the two elementary inequalities at a single pair."""
-    m1, m2 = elementary_margins(u1, u2, p)
-    return float(m1), float(m2)
-
-
 # ---------------------------------------------------------------------------
 # noise
 
@@ -328,12 +285,6 @@ def noise_apply_array(noise: NoiseSpec, t: float, u: np.ndarray, w: np.ndarray) 
         wk = w[..., k].reshape(*batch, *([1] * dim))
         out = out + noise.kappa.values * noise.sigma2_callback(t, coords, u, k) * wk
     return out
-
-
-def hs_norm_sq(noise: NoiseSpec, t: float, u: Field) -> float:
-    """Squared Hilbert-Schmidt norm sum_k ||sigma1_k + kappa*sigma2_k(u)||_L2^2."""
-    modes = noise.mode_values(t, u.values)
-    return float(noise.grid.cell_volume * np.sum(modes**2))
 
 
 # -- derived growth/Lipschitz constants -------------------------------------

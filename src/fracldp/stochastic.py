@@ -9,8 +9,9 @@ independent scalar Brownian motions W_k feeding the mode family sigma_k.
 and with a ``shift`` control v adds the drift sigma(t,u) v(t) dt (the
 change-of-measure dynamics used by the variational analysis). Every path
 runs the deterministic module's step kernel in one of its two loops: a single
-path in the skeleton solver's dense sweep, a batch in ``batch_paths`` here. So
-the eps -> 0 limit is the skeleton solver's arithmetic exactly.
+path in the skeleton solver's dense sweep, a batch in ``_step_loop`` here, the
+loop behind both ``batch_paths`` and ``batch_distances``. So the eps -> 0 limit
+is the skeleton solver's arithmetic exactly.
 
 Streams are counter-based: path ``stream_id`` under base ``seed`` uses
 ``Philox(SeedSequence(entropy=seed, spawn_key=(stream_id,)))``, which makes
@@ -88,17 +89,6 @@ class SdeConfig:
 
     def __post_init__(self) -> None:
         check_ranges(self)
-
-
-@dataclass
-class PathSample:
-    """One noise-driven trajectory with the skeleton solver's diagnostics."""
-
-    solution: SkeletonSolution
-
-    @property
-    def trajectory(self) -> np.ndarray:
-        return self.solution.trajectory
 
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -228,14 +218,15 @@ def simulate_sde(
     cfg: SdeConfig,
     driver: WienerDriver,
     shift: Optional[Control] = None,
-) -> PathSample:
-    """One tamed IMEX Euler-Maruyama path of the eps-noise equation.
+) -> SkeletonSolution:
+    """One tamed IMEX Euler-Maruyama path of the eps-noise equation, with the
+    skeleton solver's diagnostics.
 
     A ``shift`` control v adds the drift sigma(t,u) v(t) dt, as in
     ``batch_paths``.
     """
     weights = _mode_weights(model, u0, cfg, driver, 1, shift)[0]
-    return PathSample(solution=evolve_dense(model, u0, cfg.timegrid, weights, cfg.linf_guard))
+    return evolve_dense(model, u0, cfg.timegrid, weights, cfg.linf_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +443,9 @@ def batch_paths(
 ) -> list[PathSummary]:
     """Simulate ``n_paths`` streams at once, reducing each to a PathSummary.
 
-    This is the batched one of the two loops around ``step_once`` (the other
-    is the skeleton module's dense sweep, which keeps whole trajectories).
+    It runs ``_step_loop``, the batched one of the two loops around
+    ``step_once`` (the other is the skeleton module's dense sweep, which keeps
+    whole trajectories).
     Drivers are the same per-path counter-based generators ``simulate_sde``
     uses, keyed for the whole batch at once by ``_stream_keys``, so each
     member matches the corresponding single-path run to floating-point
@@ -541,12 +533,6 @@ def batch_distances(
     return dists, int(np.count_nonzero(blow_step))
 
 
-def blow_fraction(summaries: Sequence[PathSummary]) -> float:
-    if not summaries:
-        raise InsufficientSamplesError("empty batch")
-    return sum(1 for s in summaries if s.blow_step is not None) / len(summaries)
-
-
 # ---------------------------------------------------------------------------
 # statistics
 
@@ -566,90 +552,3 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     center = (phat + z * z / (2 * n)) / denom
     half = z * np.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-@dataclass
-class EnergyCell:
-    u0_l2_sq: float
-    mean: float
-    ci_half: float
-    n_effective: int
-    blow_fraction: float
-
-
-@dataclass
-class EnergyCheck:
-    """Affine-growth audit of the expected energy functional in ||u0||^2."""
-
-    cells: list
-    slope: float
-    intercept: float
-    curvature: float
-    passed: bool
-
-
-def energy_estimate(summaries: Sequence[PathSummary]) -> tuple[float, float]:
-    """Batch mean and 95% CI half-width of the path energy functional.
-
-    The functional is sup_t ||u||^2 + int ||u||_V^2 + int ||u||_p^p; blown
-    paths are excluded (their frequency is the caller's concern).
-    """
-    vals = np.array([s.energy for s in summaries if s.blow_step is None])
-    if vals.size < 100:
-        raise InsufficientSamplesError(
-            f"need at least 100 surviving paths for a moment estimate, have {vals.size}"
-        )
-    mean = float(np.mean(vals))
-    half = float(_WILSON_Z * np.std(vals, ddof=1) / np.sqrt(vals.size))
-    return mean, half
-
-
-_CURVATURE_SLACK = 0.02  # relative upward curvature allowed at the largest datum
-
-
-def energy_estimate_check(
-    model: ModelSpec,
-    cfg: SdeConfig,
-    datums: Sequence[Field],
-    n_paths: int,
-    base_seed: int,
-) -> EnergyCheck:
-    """Moment growth audit: the expected energy must be affine in ||u0||^2.
-
-    Regresses the per-datum batch means against ||u0||^2 (least squares with a
-    quadratic term as the curvature probe). Pass requires slope and intercept
-    non-negative within the widest cell CI (fits on Monte Carlo means jitter
-    below zero by sampling noise) and no super-affine curvature: a POSITIVE
-    quadratic contribution at the largest datum must stay within twice that CI
-    plus ``_CURVATURE_SLACK`` times the largest mean (short-horizon transients
-    of the Lp term curve upward by a few percent without threatening the
-    affine bound itself; concave saturation is always acceptable).
-    """
-    if len(datums) < 3:
-        raise InsufficientSamplesError("affine audit needs at least 3 initial data")
-    cells = []
-    for i, u0 in enumerate(datums):
-        sums = batch_paths(model, u0, cfg, n_paths, base_seed, stream_offset=i * n_paths)
-        mean, half = energy_estimate(sums)
-        cells.append(
-            EnergyCell(
-                u0_l2_sq=float(array_l2_sq(model.grid, u0.values)),
-                mean=mean,
-                ci_half=half,
-                n_effective=sum(1 for s in sums if s.blow_step is None),
-                blow_fraction=blow_fraction(sums),
-            )
-        )
-    x = np.array([c.u0_l2_sq for c in cells])
-    y = np.array([c.mean for c in cells])
-    coef_lin = np.polyfit(x, y, 1)
-    slope, intercept = float(coef_lin[0]), float(coef_lin[1])
-    if len(cells) >= 4:
-        curvature = float(np.polyfit(x, y, 2)[0])
-    else:
-        curvature = 0.0
-    widest = max(c.ci_half for c in cells)
-    bulge = max(0.0, curvature) * float(np.max(x)) ** 2
-    curvature_ok = bulge <= 2.0 * widest + _CURVATURE_SLACK * float(np.max(y)) + 1e-12
-    passed = slope >= -widest - 1e-12 and intercept >= -widest - 1e-12 and curvature_ok
-    return EnergyCheck(cells=cells, slope=slope, intercept=intercept, curvature=curvature, passed=passed)

@@ -126,14 +126,6 @@ def test_plan_rejects_foreign_grid(lab):
         make_plan(lab, initial_data=(bad,))
 
 
-def test_plan_enforces_declared_ball(lab):
-    # ||const 0.5||_L2 = 0.5 * sqrt(4) = 1.0 on the scalar-model box
-    with pytest.raises(DomainError):
-        make_plan(lab, initial_radius=0.8)
-    plan = make_plan(lab, initial_radius=1.2)
-    assert plan.initial_radius == 1.2
-
-
 # --- ball probability estimator ------------------------------------------
 
 def ou_terminal_ball_prob(c0, z, delta_l2, eps, vol=4.0):

@@ -12,22 +12,17 @@ from hypothesis import strategies as st
 
 import fracldp
 from fracldp import zoo
-from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec
+from fracldp.grids import DomainError, GridMismatchError
 from fracldp.models import (
     MARGIN_TOL,
     T_MAX,
     ConditionError,
-    DriftOverflowError,
     DriftSpec,
     ForcingSpec,
     ModelSpec,
     NoiseSpec,
     SamplingPlan,
-    drift_eval,
-    elementary_inequalities,
-    elementary_margins,
     growth_constant,
-    hs_norm_sq,
     linear_growth_constants,
     lipschitz_constant,
     noise_apply_array,
@@ -54,38 +49,6 @@ def test_signed_power_values():
 def test_signed_power_fractional_exponent_no_nan():
     out = signed_power(np.array([-4.0, 4.0]), 1.5)
     assert np.allclose(out, [-8.0, 8.0])
-
-
-def test_elementary_inequalities_hand_value():
-    # u1=1, u2=-1, p=4: D = (1 - (-1))*2 = 4, 2^(1-p)|du|^p = 2, so margin1 = 2;
-    # the sharper bound D - (1/2)(|u1|^2+|u2|^2)(du)^2 = 4 - 4 = 0 is tight here.
-    m1, m2 = elementary_inequalities(1.0, -1.0, 4.0)
-    assert m1 == pytest.approx(2.0, abs=1e-12)
-    assert m2 == pytest.approx(0.0, abs=1e-12)
-
-
-def test_elementary_margins_vectorized_matches_scalar():
-    rng = np.random.default_rng(0)
-    u1 = rng.normal(size=50) * 3
-    u2 = rng.normal(size=50) * 3
-    m1, m2 = elementary_margins(u1, u2, 3.5)
-    for i in range(50):
-        s1, s2 = elementary_inequalities(float(u1[i]), float(u2[i]), 3.5)
-        assert m1[i] == pytest.approx(s1, rel=1e-12, abs=1e-12)
-        assert m2[i] == pytest.approx(s2, rel=1e-12, abs=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    u1=st.floats(-50, 50),
-    u2=st.floats(-50, 50),
-    p=st.floats(2.1, 6.0),
-)
-def test_elementary_margins_nonnegative(u1, u2, p):
-    m1, m2 = elementary_inequalities(u1, u2, p)
-    scale = max(1.0, abs(u1), abs(u2)) ** p
-    assert m1 >= -1e-9 * scale
-    assert m2 >= -1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +80,6 @@ def test_drift_rejects_bad_forms():
     for name, bad in (("lambda1", np.nan), ("lambda1", np.inf), ("psi1_bound", np.nan)):
         with pytest.raises(ConditionError, match=f"^{name}: "):
             DriftSpec(**{name: bad})
-
-
-def test_drift_overflow_reports_index():
-    d = DriftSpec(form="cubic_minus_linear", p=4.0)
-    grid = GridSpec(dim=1, half_length=1.0, points_per_dim=8, alpha=1.0)
-    vals = np.zeros(8)
-    vals[5] = 1e200
-    with pytest.raises(DriftOverflowError) as err:
-        drift_eval(d, 0.0, Field(grid, vals))
-    assert err.value.index == 5
 
 
 def test_validate_drift_default_passes_with_certificates():
@@ -392,12 +345,13 @@ def test_noise_rejects_bad_specs():
 def test_hs_norm_additive_only_is_sigma1_mass():
     # with kappa = 0 the Hilbert-Schmidt norm is exactly sum_k ||sigma1_k||^2
     m = zoo.linear_additive_model()
-    u = Field(m.grid, np.random.default_rng(1).normal(size=m.grid.shape))
+    u = np.random.default_rng(1).normal(size=m.grid.shape)
     expect = sum(
         float(m.grid.cell_volume * np.sum(m.noise.sigma1[k] ** 2))
         for k in range(m.noise.n_modes)
     )
-    assert hs_norm_sq(m.noise, 0.0, u) == pytest.approx(expect, rel=1e-12)
+    hs_sq = float(m.grid.cell_volume * np.sum(m.noise.mode_values(0.0, u) ** 2))
+    assert hs_sq == pytest.approx(expect, rel=1e-12)
     assert m.noise.sigma1_sq() == pytest.approx(expect, rel=1e-12)
 
 

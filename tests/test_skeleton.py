@@ -23,6 +23,7 @@ from fracldp.skeleton import (
     Control,
     StepKernel,
     TimeGrid,
+    WeakLimitCurve,
     apriori_bound_report,
     lipschitz_experiment,
     path_distance,
@@ -69,9 +70,6 @@ def test_control_validation():
         Control(tg, np.ones((5, 2)))
     with pytest.raises(DomainError):
         Control(tg, np.full((4, 2), np.nan))
-    with pytest.raises(DomainError):
-        Control(tg, np.ones((4, 2)), ball_radius=1.0)  # norm sqrt(2) > 1
-    Control(tg, np.ones((4, 2)), ball_radius=1.5)  # inside: fine
 
 
 def test_control_values_read_only():
@@ -445,3 +443,12 @@ def test_weak_continuity_guards():
         weak_continuity_experiment(m, u0, v, mode_index=99, freqs=[1])
     with pytest.raises(DomainError):
         weak_continuity_experiment(m, u0, v, mode_index=0, freqs=[1], perturbation="ramp")
+    with pytest.raises(DomainError):
+        weak_continuity_experiment(m, u0, v, mode_index=0, freqs=[])
+
+
+def test_weak_limit_curve_reads_curves_shorter_than_its_tail():
+    # the monotone tail is the last three points, or all of a shorter curve
+    assert WeakLimitCurve(freqs=[1, 2], errors=[1.0, 0.1], perturbation="oscillatory").passed
+    assert not WeakLimitCurve(freqs=[1, 2], errors=[1.0, 0.9], perturbation="oscillatory").passed
+    assert not WeakLimitCurve(freqs=[1], errors=[1.0], perturbation="oscillatory").passed
