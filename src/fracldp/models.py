@@ -516,7 +516,8 @@ def _scalar_samples(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
 # block is 64 KB, under glibc's default 128 KiB mmap threshold, so freed blocks
 # are reused from the heap; a temporary over all samples (1.2 MB on the shipped
 # plan) is mapped afresh, zero-filled a page at a time and unmapped again on
-# every pass.
+# every pass. So only u, u2 and the per-time F(t, u), F(t, u2) span all
+# samples, and the per-mode noise conditions run block-major.
 _SAMPLE_BLOCK = 8192
 
 
@@ -685,8 +686,9 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     covers, len(u) * 5, either way.
 
     Within each time the samples stream through blocks of ``_SAMPLE_BLOCK``,
-    in sample order, so every temporary is block-sized and reused instead of
-    mapped afresh on each pass; the report does not depend on the block size.
+    in sample order. Only u, u2 and the time's F(t, u), F(t, u2) span all
+    samples; every other temporary is block-sized and reused instead of
+    mapped afresh on each pass. The report does not depend on the block size.
     """
     rng = np.random.default_rng(plan.seed)
     u = _scalar_samples(plan, rng)
@@ -695,12 +697,6 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
     sampled_ts = ts if drift.form == "custom-callback" else ts[:1]
     coords = grid.coords() if grid is not None else [np.zeros(1)]
     p = drift.p
-    du = u - u2
-    grow = drift.psi2_bound * np.abs(u) ** (p - 1.0)
-    # coercivity and monotonicity read a(t) - lam*b + c with b, c fixed in t
-    coercive_b, coercive_c = np.abs(u) ** p, drift.psi1_bound
-    mono_b = (signed_power(u, p - 1.0) - signed_power(u2, p - 1.0)) * du
-    mono_c = drift.psi4_bound * du**2
 
     worst = _WorstMargins()
     lambda1_cert, lambda2_cert = _Certificate(), _Certificate()
@@ -710,18 +706,24 @@ def validate_drift(drift: DriftSpec, plan: SamplingPlan, grid: Optional[GridSpec
         f2_t = np.broadcast_to(np.asarray(drift.value(t, coords, u2), dtype=float), u.shape)
         for s in blocks:
             ub, u2b, f = u[s], u2[s], f_t[s]
-            coercive_a, mono_a = f * ub, (f - f2_t[s]) * du[s]
+            du = ub - u2b
+            grow = drift.psi2_bound * np.abs(ub) ** (p - 1.0)
+            # coercivity and monotonicity read a - lam*b + c
+            coercive_a, coercive_b, coercive_c = f * ub, np.abs(ub) ** p, drift.psi1_bound
+            mono_a = (f - f2_t[s]) * du
+            mono_b = (signed_power(ub, p - 1.0) - signed_power(u2b, p - 1.0)) * du
+            mono_c = drift.psi4_bound * du**2
             at_u = lambda i: {"t": float(t), "u": float(ub[i])}
             worst.offer(
-                "drift-coercivity", *_linear_condition(coercive_a, coercive_b[s], coercive_c, drift.lambda1), at_u
+                "drift-coercivity", *_linear_condition(coercive_a, coercive_b, coercive_c, drift.lambda1), at_u
             )
-            worst.offer("drift-growth", grow[s] + drift.psi3_bound - np.abs(f), np.abs(f) + grow[s], at_u)
+            worst.offer("drift-growth", grow + drift.psi3_bound - np.abs(f), np.abs(f) + grow, at_u)
             worst.offer(
-                "drift-monotonicity", *_linear_condition(mono_a, mono_b[s], mono_c[s], drift.lambda2),
+                "drift-monotonicity", *_linear_condition(mono_a, mono_b, mono_c, drift.lambda2),
                 lambda i: {"t": float(t), "u1": float(ub[i]), "u2": float(u2b[i])},
             )
-            lambda1_cert.add(coercive_a, coercive_b[s], coercive_c)
-            lambda2_cert.add(mono_a, mono_b[s], mono_c[s])
+            lambda1_cert.add(coercive_a, coercive_b, coercive_c)
+            lambda2_cert.add(mono_a, mono_b, mono_c)
     constants = {"lambda1": lambda1_cert.value(), "lambda2": lambda2_cert.value()}
     return ValidationReport(checks=worst.checks(len(u) * len(ts)), constants=constants)
 
@@ -774,10 +776,11 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     and at every time for any other noise, with ``t`` in the witness and
     ``samples`` counting (t, field) pairs.
 
-    The per-mode conditions stream their samples through blocks of
-    ``_SAMPLE_BLOCK``, in sample order within each time and mode, so every
-    temporary is block-sized and reused instead of mapped afresh on each
-    pass; the report does not depend on the block size.
+    Within each time the per-mode conditions stream the samples through
+    blocks of ``_SAMPLE_BLOCK``, block-major: a block's state-free factors
+    are computed once and every mode runs on them. Only u, u2 span all
+    samples; every temporary is block-sized and reused instead of mapped
+    afresh on each pass. The report does not depend on the block size.
     """
     rng = np.random.default_rng(plan.seed + 1)
     u = _scalar_samples(plan, rng)
@@ -787,37 +790,32 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     ts = np.linspace(0.0, T_MAX, 3)
     sampled_ts = ts[:1] if noise.separable else ts
 
-    # per-mode scalar conditions; their state-free factors are the same at
-    # every time and mode
-    lip_factor = 1.0 + np.abs(u) ** (q - 2.0) + np.abs(u2) ** (q - 2.0)
-    du_sq = (u - u2) ** 2
-    abs_q = np.abs(u) ** q
-    if noise.separable:
-        # sigma2_k is sqrt(gamma_k)*s(u), as in NoiseSpec.sigma2_mode
-        prof, prof2 = noise.profile(u), noise.profile(u2)
-
-        def sigma2_pair(t, k, s):
-            root = np.sqrt(noise.coeff_gamma[k])
-            return root * prof[s], root * prof2[s]
-    else:
-        def sigma2_pair(t, k, s):
-            return noise.sigma2_mode(t, k, u[s]), noise.sigma2_mode(t, k, u2[s])
+    # sigma2_k of a separable noise is sqrt(gamma_k)*s(u), as in NoiseSpec.sigma2_mode
+    roots = np.sqrt(noise.coeff_gamma)
 
     worst = _WorstMargins()
     blocks = _sample_blocks(len(u))
     for t in sampled_ts:
-        for k in range(noise.n_modes):
-            a_k, b_k, g_k = noise.coeff_alpha[k], noise.coeff_beta[k], noise.coeff_gamma[k]
-            for s in blocks:
-                ub, u2b = u[s], u2[s]
-                s_1, s_2 = sigma2_pair(t, k, s)
-                lip_rhs = a_k * lip_factor[s] * du_sq[s]
+        for s in blocks:
+            ub, u2b = u[s], u2[s]
+            lip_factor = 1.0 + np.abs(ub) ** (q - 2.0) + np.abs(u2b) ** (q - 2.0)
+            du_sq = (ub - u2b) ** 2
+            abs_q = np.abs(ub) ** q
+            if noise.separable:
+                prof, prof2 = noise.profile(ub), noise.profile(u2b)
+            for k in range(noise.n_modes):
+                a_k, b_k, g_k = noise.coeff_alpha[k], noise.coeff_beta[k], noise.coeff_gamma[k]
+                if noise.separable:
+                    s_1, s_2 = roots[k] * prof, roots[k] * prof2
+                else:
+                    s_1, s_2 = noise.sigma2_mode(t, k, ub), noise.sigma2_mode(t, k, u2b)
+                lip_rhs = a_k * lip_factor * du_sq
                 lip_lhs = (s_1 - s_2) ** 2
                 worst.offer(
                     "noise-lipschitz", lip_rhs - lip_lhs, lip_rhs + lip_lhs,
                     lambda i: {"t": float(t), "mode": k, "u1": float(ub[i]), "u2": float(u2b[i])},
                 )
-                gr_rhs = b_k + g_k * abs_q[s]
+                gr_rhs = b_k + g_k * abs_q
                 gr_lhs = s_1**2
                 worst.offer(
                     "noise-growth", gr_rhs - gr_lhs, gr_rhs + gr_lhs,

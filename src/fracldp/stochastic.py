@@ -75,9 +75,6 @@ class WienerDriver:
         rng = self.generator()
         return np.sqrt(tg.dt) * rng.standard_normal(size=(tg.n_steps, self.n_modes))
 
-    def with_stream(self, stream_id: int) -> "WienerDriver":
-        return WienerDriver(n_modes=self.n_modes, seed=self.seed, stream_id=stream_id)
-
 
 @dataclass(frozen=True)
 class SdeConfig:
@@ -183,8 +180,8 @@ def _mode_weights(model, u0, cfg, driver, n_paths, shift) -> np.ndarray:
     streams from ``driver.stream_id`` on: sqrt(eps) dW, plus dt v for a ``shift`` v.
 
     One Philox generator is re-keyed per stream, with the keys of the whole
-    batch from ``_stream_keys``: stream b draws what
-    ``driver.with_stream(driver.stream_id + b).increments`` would.
+    batch from ``_stream_keys``: stream b draws what ``increments`` draws for a
+    ``WienerDriver`` of the same modes and seed on stream ``driver.stream_id + b``.
     """
     if u0.grid != model.grid:
         raise GridMismatchError("initial datum grid does not match the model")
@@ -405,19 +402,22 @@ def _step_loop(model, u0, cfg, n_paths, base_seed, stream_offset, shift, referen
                 alive_mask = alive.reshape((-1,) + (1,) * grid.dim)
                 u = np.where(alive_mask, u_next, u)
                 hat = np.where(alive_mask, hat_next, hat)
-        if norms:
-            _accumulate(acc, kernel, tw[k], alive, u, hat)
-        if len(pair_path):
-            _accumulate_pairs(pair_acc, kernel, tw[k], u, hat, refs[k], ref_hats[k], pair_path, pair_ref)
-            # decide on the final distance's own expression; the margin keeps
-            # a libm pow that is not monotone from deciding a pair wrongly
-            decided = (combined(pair_acc) > event_radius * (1 + 1e-12)) | ~alive[pair_path]
-            if decided.any():
-                keep = ~decided
-                pair_path, pair_ref, pair_acc = pair_path[keep], pair_ref[keep], pair_acc[:, keep]
-        if smooth and ref_w[k]:
-            for j, ref in enumerate(references):
-                ref_acc[:, j] += np.where(alive, ref_w[k] * array_l2_sq(grid, u - ref[k]), 0.0)
+        # overflow is legal here, as in ``step_once``: a path whose norms or
+        # distances overflow reads inf, as a blown path does
+        with np.errstate(over="ignore", invalid="ignore"):
+            if norms:
+                _accumulate(acc, kernel, tw[k], alive, u, hat)
+            if len(pair_path):
+                _accumulate_pairs(pair_acc, kernel, tw[k], u, hat, refs[k], ref_hats[k], pair_path, pair_ref)
+                # decide on the final distance's own expression; the margin keeps
+                # a libm pow that is not monotone from deciding a pair wrongly
+                decided = (combined(pair_acc) > event_radius * (1 + 1e-12)) | ~alive[pair_path]
+                if decided.any():
+                    keep = ~decided
+                    pair_path, pair_ref, pair_acc = pair_path[keep], pair_ref[keep], pair_acc[:, keep]
+            if smooth and ref_w[k]:
+                for j, ref in enumerate(references):
+                    ref_acc[:, j] += np.where(alive, ref_w[k] * array_l2_sq(grid, u - ref[k]), 0.0)
 
     if smooth:
         dists = np.sqrt(ref_acc / ref_norm)

@@ -2,6 +2,7 @@
 reduction oracles, Gaussian statistics, and the Monte Carlo experiments."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ import pytest
 from fracldp import zoo
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec, array_l2_sq
 from fracldp.ldp import uniform_convergence_experiment
-from fracldp.skeleton import BlowUpError, Control, TimeGrid, solve_skeleton
+from fracldp.skeleton import (
+    BlowUpError,
+    Control,
+    StepKernel,
+    TimeGrid,
+    forward_states,
+    solve_skeleton,
+    step_once,
+)
 from fracldp.stochastic import (
     InsufficientSamplesError,
     PathSummary,
@@ -79,7 +88,9 @@ def test_driver_reproducible_and_stream_distinct():
     b = WienerDriver(3, seed=9, stream_id=1)
     assert np.array_equal(a.increments(tg), a.increments(tg))
     assert not np.array_equal(a.increments(tg), b.increments(tg))
-    assert a.with_stream(1).increments(tg) == pytest.approx(b.increments(tg))
+    # (seed, stream_id) selects the stream: a fresh driver on b's stream draws b's increments
+    assert np.array_equal(WienerDriver(3, seed=9, stream_id=1).increments(tg), b.increments(tg))
+    assert not np.array_equal(WienerDriver(3, seed=10, stream_id=1).increments(tg), b.increments(tg))
 
 
 def test_increment_statistics():
@@ -124,7 +135,7 @@ def test_batch_weights_equal_per_path_driver_increments(default_setup, seed):
     driver = WienerDriver(m.noise.n_modes, seed, stream_id=17)
     weights = _mode_weights(m, u0, cfg, driver, 6, None)
     for b in range(6):
-        expected = np.sqrt(cfg.epsilon) * driver.with_stream(17 + b).increments(tg)
+        expected = np.sqrt(cfg.epsilon) * WienerDriver(m.noise.n_modes, seed, 17 + b).increments(tg)
         assert np.array_equal(weights[b], expected)
 
 
@@ -380,6 +391,32 @@ def test_batch_marks_blow_ups_without_aborting(default_setup):
     assert all(np.isinf(s.energy) for s in sums)
     with pytest.raises(BlowUpError):
         simulate_sde(m, u0, cfg, WienerDriver(m.noise.n_modes, 1, 0))
+
+
+def test_overflow_in_blown_paths_emits_no_warning(default_setup):
+    """Overflow in a blown path is legal: the step, the guards and a path's
+    norms carry it to a blow-up or an inf energy without a RuntimeWarning."""
+    m, u0, tg = default_setup
+    kernel = StepKernel.build(m, tg)
+    huge = Field(m.grid, np.full(m.grid.shape, 1e200))
+    no_weights = np.zeros((tg.n_steps, m.noise.n_modes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # |u|^p of a 1e100 datum overflows in the norms of the live step 0
+        big = Field(m.grid, 1e100 * u0.values)
+        sums = batch_paths(m, big, SdeConfig(1.0, TimeGrid(0.25, 16)), 8, base_seed=1)
+        assert all(s.blow_step > 0 and np.isinf(s.energy) for s in sums)
+        # the squares of a 1e200 datum's distances to a reference overflow
+        rest = [np.zeros((tg.n_steps + 1, *m.grid.shape))]
+        for which in ("combined", "l2rms"):
+            dists, n_blown = batch_distances(m, huge, SdeConfig(0.1, tg), 4, 1, references=rest, which=which)
+            assert n_blown == 4 and np.all(np.isinf(dists))
+        assert not np.all(np.isfinite(step_once(kernel, 0.0, huge.values, no_weights[0])[0]))
+        with pytest.raises(BlowUpError):
+            forward_states(m, kernel, huge, no_weights)
+        # a guard below the initial sup norm trips every path at step 1
+        sums = batch_paths(m, u0, SdeConfig(0.1, tg, linf_guard=1e-3), 4, base_seed=1)
+        assert all(s.blow_step == 1 for s in sums)
 
 
 def test_probe_inner_matches_manual(default_setup):
