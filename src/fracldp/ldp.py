@@ -330,8 +330,11 @@ def fw_bounds_experiment(
     hence the margin — is biased conservatively upward (noted in the report).
 
     ``rates`` is indexed [datum][control] and must come from a rate
-    computation (the converged minimize_rate result; its value is an upper
-    bound, which only tightens the lower-probe verdict).
+    computation (the converged minimize_rate result). Its value is an upper
+    bound on the rate, and the lower margin eps*ln p + I rises with I, so a
+    value above the infimum loosens the lower-probe verdict: against exact
+    ball oracles on linear-additive the solver's values sit 0.5-14% high
+    (ROADMAP, the rate-solver item).
     """
     controls = list(controls)
     if not controls:

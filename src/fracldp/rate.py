@@ -18,10 +18,10 @@ the +infinity branch surfacing.
 The forward map here is the deterministic solver itself (same code path), so
 rate results compose exactly with the skeleton and Monte Carlo modules.
 
-``scipy.optimize`` is imported inside ``_penalty_continuation``, at its one
-L-BFGS-B call, and nowhere at module level: importing this module (and so
-every ``fracldp`` subcommand) does not load scipy, and a solve whose start is
-already inside tolerance never loads it either.
+The lab's own L-BFGS, ``fracldp.lbfgs``, is numpy alone. It is imported
+inside ``_penalty_continuation``, where it runs, and nowhere at module level:
+importing this module (and so every ``fracldp`` subcommand) does not compile
+it, and a solve whose start is already inside tolerance never does either.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ BALL_RADIUS = {"inside": POSITIVE_OR_INF, "outside": POSITIVE}
 
 _RETREAT = 1.0e12  # objective value handed to the line search when a probe blows up
 _PENALTY0 = 10.0  # mu of the first continuation
-_GRADIENT_TOL = 1e-9  # L-BFGS-B projected-gradient tolerance ("gtol")
+_GRADIENT_TOL = 1e-9  # L-BFGS stops once max|gradient| is at most this
 
 
 def _apply_propagator(kernel: StepKernel, lam: np.ndarray) -> np.ndarray:
@@ -340,9 +340,11 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
 
     Minimizes J_mu(z) = action(z) + mu pen(u_z) over the flattened control
     for a ``penalty`` of the ``_objective_and_grad`` contract, and drives its
-    residual below ``tol``. This is the one place that picks exact (adjoint)
-    or numeric gradients, that turns a BlowUpError into a steep retreat for
-    the line search or an infinite residual, and that reads residuals.
+    residual below ``tol`` by runs of ``lbfgs.minimize``. This is the one
+    place that picks exact (adjoint) or numeric gradients
+    (``lbfgs.forward_difference``, d + 1 sweeps per gradient), that turns a
+    BlowUpError into a steep retreat for the line search or an infinite
+    residual, and that reads residuals.
 
     Every sweep goes through a one-entry memo: the weights bytes of the last
     swept point and its forward states, or the BlowUpError it raised. Only a
@@ -412,12 +414,10 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
                     raise OptimizationError("penalty objective diverged to non-finite values")
             return (val, grad) if exact else val
 
-        from scipy import optimize  # deferred: loaded only when L-BFGS-B runs
+        from . import lbfgs  # deferred: compiled only when a solve iterates
 
-        sol = optimize.minimize(
-            fun, x, jac=exact, method="L-BFGS-B",
-            options={"maxiter": st.max_iters, "gtol": _GRADIENT_TOL, "ftol": 1e-15},
-        )
+        objective = fun if exact else lbfgs.forward_difference(fun)
+        sol = lbfgs.minimize(objective, x, st.max_iters, _GRADIENT_TOL)
         x = sol.x
         total_iters += int(sol.nit)
         res = residual(x, mu)
@@ -452,9 +452,10 @@ def minimize_rate(
     """Penalty-continuation minimization of the discretized rate.
 
     Doubles the penalty until the residual meets tolerance or the continuation
-    budget runs out. The result's ``value`` is an upper bound on the
-    discretized rate when ``converged``; otherwise value is +inf with the best
-    residual reached — the empty-infimum branch. The residual is a
+    budget runs out, minimizing each penalized objective with the lab's
+    L-BFGS (``lbfgs.minimize``). The result's ``value`` is an upper bound on
+    the discretized rate when ``converged``; otherwise value is +inf with the
+    best residual reached — the empty-infimum branch. The residual is a
     ``skeleton.distance_weights`` kind: "terminal" for endpoint queries, held
     to ``query.tau_end``; "uniform" for path queries, held to
     ``settings.residual_tol``, and not the "l2rms" of

@@ -1,8 +1,10 @@
 """End-to-end command-line runs: exit codes, outputs, manifests, determinism."""
 
+import ast
 import dataclasses
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -209,12 +211,12 @@ print(json.dumps(seen))
 LEAN = ("simulate", "skeleton", "level-set", "mc-ldp", "validate-model", "tail-scan", "cvs-sweep")
 
 
-def test_only_rate_solves_load_scipy(tmp_path):
-    """Importing the CLI and running a subcommand that runs no L-BFGS-B loads
-    neither scipy nor the process pool (the rate solves of mc-ldp start from
-    an exact least-squares control); a rate solve that iterates loads
-    scipy.optimize."""
-    # an endpoint the zero control misses: the solve must run L-BFGS-B
+def test_no_subcommand_loads_scipy(tmp_path):
+    """Importing the CLI and running any subcommand loads neither scipy nor the
+    process pool (the rate solves of mc-ldp start from an exact least-squares
+    control). That includes a rate solve that iterates: the rate solver's
+    L-BFGS is the lab's own."""
+    # an endpoint the zero control misses: the solve must run L-BFGS
     settings = {**HAPPY, "rate-min": (SCALAR, {"target": "endpoint", "endpoint_level": 0.2})}
     runs = []
     for name in (*LEAN, "rate-min"):
@@ -232,8 +234,24 @@ def test_only_rate_solves_load_scipy(tmp_path):
     assert seen["import"] == []
     for name in LEAN:
         assert seen[name] == [0, []], name
-    code, loaded = seen["rate-min"]
-    assert code == 0 and "scipy.optimize" in loaded
+    assert seen["rate-min"] == [0, []]
+
+
+def test_no_module_imports_scipy():
+    """A static scan with ``ast``: no module of ``src/fracldp`` imports scipy,
+    at module level or inside a function, so the lab's runtime needs numpy
+    alone."""
+    offenders = []
+    for path in sorted(pathlib.Path(fracldp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert offenders == []
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):

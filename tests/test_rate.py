@@ -30,7 +30,7 @@ from fracldp.zoo import (
     standard_grid,
     zoo,
 )
-from fracldp import rate
+from fracldp import lbfgs, rate
 from fracldp.rate import (
     ContinuityCurve,
     LevelSet,
@@ -320,6 +320,30 @@ def test_variational_value_matches_the_gaussian_oracle(points):
     assert sol.fun == pytest.approx(value, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("points", [32, 512])
+def test_variational_value_matches_the_gaussian_oracle_with_the_labs_lbfgs(points):
+    """The twin of the test above with the rate solver's own minimizer in
+    place of scipy's, held to the same bound."""
+    grid = standard_grid(alpha=0.75, points=points)
+    model = linear_additive_model(grid)
+    tg = TimeGrid(0.5, 64)
+    u0 = default_initial_datum(grid)
+    a, c = -0.5 * u0.values, 20.0
+    value, _ = gaussian_oracle(model, u0, tg, a, c)
+    kernel = StepKernel.build(model, tg)
+    penalty = rate._quadratic_penalty(grid, tg, "terminal", a)
+
+    def sweep(weights):
+        return rate._forward_states(model, kernel, u0, weights)[0]
+
+    sol = lbfgs.minimize(
+        lambda z: rate._objective_and_grad(model, kernel, sweep, z, 0.5 * c, penalty),
+        np.zeros(tg.n_steps * model.noise.n_modes), 15_000, rate._GRADIENT_TOL,
+    )
+    assert sol.success
+    assert sol.fun == pytest.approx(value, rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("name", ["default", "2d"])
 def test_smooth_distances_match_independent_formulas(name):
     """On a forward_states trajectory each smooth kind's penalty residual is
@@ -425,7 +449,7 @@ def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch, sol
     assert rate._has_exact_gradients(model)
     counts = {"sweeps": 0, "repeats": 0, "evals": 0, "continuations": 0}
     last = [None]
-    forward, minimize = rate._forward_states, scipy.optimize.minimize
+    forward, minimize = rate._forward_states, lbfgs.minimize
 
     def counted_forward(model, kernel, u0, weights):
         counts["sweeps"] += 1
@@ -433,16 +457,16 @@ def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch, sol
         last[0] = weights.tobytes()
         return forward(model, kernel, u0, weights)
 
-    def counted_minimize(fun, x0, **kwargs):
+    def counted_minimize(fun, x0, *args):
         def counted_fun(z):
             counts["evals"] += 1
             return fun(z)
 
         counts["continuations"] += 1
-        return minimize(counted_fun, x0, **kwargs)
+        return minimize(counted_fun, x0, *args)
 
     monkeypatch.setattr(rate, "_forward_states", counted_forward)
-    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+    monkeypatch.setattr(lbfgs, "minimize", counted_minimize)
     rng = np.random.default_rng(11)
     if solve == "endpoint":
         v_true = Control(tg, 0.6 * rng.standard_normal((tg.n_steps, model.noise.n_modes)))
@@ -455,6 +479,47 @@ def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch, sol
     assert res.converged and counts["continuations"] >= 2
     assert counts["sweeps"] <= counts["evals"] + 1
     assert counts["repeats"] == 0
+
+
+def test_rate_solves_match_scipy_lbfgs_b_on_the_benchmark_panel(monkeypatch):
+    """The endpoint solves of the rate-endpoint benchmark (default model,
+    targets G0(u0, v)(T) of v = 4 * default_rng(j).standard_normal((64, 4)),
+    j = 0..3) agree with the same solves run through scipy's L-BFGS-B on
+    convergence and to 1e-6 in value, and take no more objective
+    evaluations."""
+    model = default_model()
+    u0 = default_initial_datum(model.grid)
+    tg = TimeGrid(0.25, 64)
+    lab_minimize = lbfgs.minimize
+
+    def scipy_minimize(fun, x0, max_iters, gtol):
+        sol = scipy.optimize.minimize(
+            fun, x0, jac=True, method="L-BFGS-B",
+            options={"maxiter": max_iters, "gtol": gtol, "ftol": 1e-15},
+        )
+        return lbfgs.LbfgsResult(sol.x, sol.fun, sol.nit, sol.success)
+
+    def solve(minimize, query):
+        evals = [0]
+
+        def counted(fun, x0, *args):
+            def counted_fun(z):
+                evals[0] += 1
+                return fun(z)
+
+            return minimize(counted_fun, x0, *args)
+
+        monkeypatch.setattr(lbfgs, "minimize", counted)
+        return minimize_rate(model, query, tg), evals[0]
+
+    for j in range(4):
+        v = Control(tg, 4.0 * np.random.default_rng(j).standard_normal((tg.n_steps, model.noise.n_modes)))
+        end = Field(model.grid, g0_map(model, u0, v, tg)[-1])
+        query = RateQuery(u0=u0, target_endpoint=end, tau_end=1e-3)
+        (lab, lab_evals), (ref, ref_evals) = solve(lab_minimize, query), solve(scipy_minimize, query)
+        assert lab.converged == ref.converged, j
+        assert lab.value == pytest.approx(ref.value, rel=1e-6, abs=0.0), j
+        assert lab_evals <= ref_evals, j
 
 
 def test_noise_free_path_has_zero_rate_all_zoo_models():
