@@ -1,5 +1,6 @@
 """Tests for the action functional, rate minimization, and level-set geometry."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -605,6 +606,74 @@ def test_endpoint_tolerance_relaxation_cannot_increase_value(setup):
     )
     assert loose.converged
     assert loose.value <= tight.value + 1e-12
+
+
+def _result_digest(res):
+    """sha256 of a RateResult's value, residual, converged, iterations, penalty
+    (as float hex) and minimizer bytes, or of a float alone."""
+    h = hashlib.sha256()
+    fields = (res,) if isinstance(res, float) else (
+        res.value, res.residual, res.converged, res.iterations, res.penalty)
+    for x in fields:
+        h.update(float(x).hex().encode())
+    if not isinstance(res, float) and res.minimizer is not None:
+        h.update(res.minimizer.values.tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_rate_results_are_pinned(setup):
+    """Every branch of the rate solver returns the same bits: endpoint, warm
+    started and infeasible endpoint solves, planted and off-range paths,
+    outside-mode radii from the reference path (nudged) and warm started
+    off it, an inside ball, exact and forward-difference gradients on the
+    scalar model, and check_gradient."""
+    model, u0, tg = setup
+    grid, n_modes = model.grid, model.noise.n_modes
+    x = grid.coords()[0]
+    v_true = Control(tg, 0.6 * np.random.default_rng(11).standard_normal((tg.n_steps, n_modes)))
+    path = g0_map(model, u0, v_true, tg)
+    phi0 = g0_map(model, u0, Control.zero(tg, n_modes), tg)
+    off = path + 0.05 * np.linspace(0.0, 1.0, tg.n_steps + 1)[:, None] * np.exp(-x**2)
+    big = Field(grid, 50.0 * np.cos(np.pi * x / grid.half_length))
+    start = Control(tg, 0.05 * np.random.default_rng(11).standard_normal((tg.n_steps, n_modes)))
+
+    def endpoint(m, u, end, t, tau=1e-3, warm=None):
+        return minimize_rate(m, RateQuery(u0=u, target_endpoint=end, tau_end=tau), t, warm_start=warm)
+
+    got = {"endpoint": endpoint(model, u0, Field(grid, path[-1]), tg)}
+    got["warm"] = endpoint(model, u0, Field(grid, path[-1]), tg, 1e-2, got["endpoint"].minimizer)
+    got["infeasible"] = endpoint(model, u0, big, tg)
+    got["planted"] = minimize_rate(model, RateQuery(u0=u0, target_path=path), tg)
+    got["off_range"] = minimize_rate(model, RateQuery(u0=u0, target_path=off), tg)
+    for r in (0.02, 0.05, 0.1):
+        got[f"outside_{r}"] = constrained_rate_minimum(model, u0, phi0, r, "outside", tg)
+    got["outside_warm"] = constrained_rate_minimum(model, u0, phi0, 0.05, "outside", tg, warm_start=start)
+    got["inside"] = constrained_rate_minimum(model, u0, path, 1e-3, "inside", tg)
+    exact = scalar_linear_model()
+    stg = TimeGrid(1.0, 8)
+    su0 = Field(exact.grid, np.full(exact.grid.shape, 0.5))
+    sphi0 = g0_map(exact, su0, Control.zero(stg, 1), stg)
+    for name, m in (("exact", exact), ("fd", replace(exact, drift=replace(exact.drift, deriv_callback=None)))):
+        got[f"scalar_{name}_endpoint"] = endpoint(m, su0, Field(exact.grid, np.full(exact.grid.shape, 0.6)), stg)
+        got[f"scalar_{name}_outside"] = constrained_rate_minimum(m, su0, sphi0, 0.2, "outside", stg)
+    got["check_gradient"] = check_gradient(model, u0, tg)
+    assert {name: _result_digest(res) for name, res in got.items()} == {
+        "endpoint": "e90daec3db6c6b5d",
+        "warm": "6b8bf16048a31288",
+        "infeasible": "d430703c2ee87e46",
+        "planted": "37772a3daf671e06",
+        "off_range": "9a359e35263cc299",
+        "outside_0.02": "63d322a315c216be",
+        "outside_0.05": "3f686835acfc0ad8",
+        "outside_0.1": "ccd55fea714193e2",
+        "outside_warm": "ae10533f1d31744e",
+        "inside": "e2fb0ba536f9e88a",
+        "scalar_exact_endpoint": "db5d6e8ebb8a6637",
+        "scalar_exact_outside": "fa6c324579c5dbdd",
+        "scalar_fd_endpoint": "7832577585ee6cd4",
+        "scalar_fd_outside": "bdc8dd38762c320b",
+        "check_gradient": "c3250ab1cfcb0ebc",
+    }
 
 
 # ---------------------------------------------------------------------------
