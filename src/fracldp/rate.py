@@ -10,8 +10,9 @@ the infimum becomes a finite-dimensional penalty problem
 
     J_mu(v) = action(v) + mu * dist^2(u_v, target),
 
-solved by L-BFGS with gradients from the adjoint of the discrete forward
-scheme and a doubling continuation on mu. Returned values are upper bounds on
+solved at each fixed mu by one L-BFGS run (``_Solver.run``), with gradients
+from the adjoint of the discrete forward scheme, inside a doubling
+continuation on mu (``_penalty_continuation``). Returned values are upper bounds on
 the discretized rate; non-convergence of the residual across continuations is
 the +infinity branch surfacing.
 
@@ -19,7 +20,7 @@ The forward map here is the deterministic solver itself (same code path), so
 rate results compose exactly with the skeleton and Monte Carlo modules.
 
 The lab's own L-BFGS, ``fracldp.lbfgs``, is numpy alone. It is imported
-inside ``_penalty_continuation``, where it runs, and nowhere at module level:
+inside ``_Solver.run``, where it runs, and nowhere at module level:
 importing this module (and so every ``fracldp`` subcommand) does not compile
 it, and a solve whose start is already inside tolerance never does either.
 """
@@ -44,10 +45,6 @@ from .skeleton import (
     solve_skeleton,
 )
 from .skeleton import forward_states as _forward_states
-
-
-class OptimizationError(RuntimeError):
-    """The penalty objective diverged (non-finite values or runaway growth)."""
 
 
 def action(v: Control) -> float:
@@ -335,92 +332,98 @@ def _stepwise_least_squares(model: ModelSpec, kernel: StepKernel, target_path: n
     return v
 
 
-def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=None) -> RateResult:
-    """The doubling penalty continuation behind every rate minimizer.
+class _Solver:
+    """The penalized problem J_mu(z) = action(z) + mu pen(u_z) of one datum.
 
-    Minimizes J_mu(z) = action(z) + mu pen(u_z) over the flattened control
-    for a ``penalty`` of the ``_objective_and_grad`` contract, and drives its
-    residual below ``tol`` by runs of ``lbfgs.minimize``. This is the one
+    ``penalty`` follows the ``_objective_and_grad`` contract. This is the one
     place that picks exact (adjoint) or numeric gradients
     (``lbfgs.forward_difference``, d + 1 sweeps per gradient), that turns a
-    BlowUpError into a steep retreat for the line search or an infinite
-    residual, and that reads residuals.
+    BlowUpError or a non-finite objective into a steep retreat for the line
+    search, and that reads residuals: +inf where the sweep blows up or the
+    residual is not finite, so a NaN never meets a tolerance.
 
     Every sweep goes through a one-entry memo: the weights bytes of the last
     swept point and its forward states, or the BlowUpError it raised. Only a
-    miss runs ``_forward_states``. The objective, the residual
-    (``penalty(states, mu)[2]``, which does not depend on mu) and the
-    ``singular`` check all read it, so a start point is swept once for its
-    check and its residual, and the first evaluation of each L-BFGS run,
-    which begins where the last sweep ended with only mu changed, is free.
-
-    The run begins at the first of ``starts`` with the least residual. When
-    ``singular(states)`` holds there, the penalty gives L-BFGS no direction
-    and the start takes a fixed pseudo-random nudge first. Each continuation
-    runs L-BFGS from the previous iterate, doubles mu, and keeps the
-    best-residual iterate seen; the start counts, so a feasible warm start is
-    never lost to a low-penalty wander. Three continuations without a 1% gain
-    end the run as infeasible. Converged results carry the minimizer's action
-    as value, the rest +inf.
+    miss runs ``_forward_states``. Objectives, residuals and the callers'
+    start checks all read it, so a start point is swept once for its check
+    and its residual, and the first evaluation of each L-BFGS run, which
+    begins where the last sweep ended with only mu changed, is free.
     """
-    tg = kernel.timegrid
-    exact = _has_exact_gradients(model)
-    memo = [None, None]  # weights bytes of the last sweep, its states or BlowUpError
 
-    def states_at(weights):
+    def __init__(self, model, kernel, u0, penalty):
+        self.model, self.kernel, self.u0, self.penalty = model, kernel, u0, penalty
+        self.exact = _has_exact_gradients(model)
+        self._memo = (None, None)
+
+    def states_at(self, weights):
         key = weights.tobytes()
-        if memo[0] != key:
+        if self._memo[0] != key:
             try:
-                states, _ = _forward_states(model, kernel, u0, weights)
+                states, _ = _forward_states(self.model, self.kernel, self.u0, weights)
                 states.setflags(write=False)  # every reader shares it
             except BlowUpError as exc:
                 states = exc
-            memo[:] = key, states
-        if isinstance(memo[1], BlowUpError):
-            raise memo[1].with_traceback(None)
-        return memo[1]
+            self._memo = key, states
+        if isinstance(self._memo[1], BlowUpError):
+            raise self._memo[1].with_traceback(None)
+        return self._memo[1]
 
-    def states_of(z):
-        return states_at(tg.dt * z.reshape(tg.n_steps, -1))
+    def states_of(self, z):
+        tg = self.kernel.timegrid
+        return self.states_at(tg.dt * z.reshape(tg.n_steps, -1))
 
-    def residual(z, mu):
+    def residual(self, z) -> float:
         try:
-            return penalty(states_of(z), mu)[2]
+            res = self.penalty(self.states_of(z), 1.0)[2]  # the same at every mu
         except BlowUpError:
             return float("inf")
+        return res if np.isfinite(res) else float("inf")
 
-    if singular is not None:
-        x = starts[0]
-        try:
-            if singular(states_of(x)):
-                starts = [x + 1e-2 * np.random.Generator(np.random.Philox(99)).standard_normal(x.size)]
-        except BlowUpError:
-            pass
-
-    mu = _PENALTY0
-    res, x = min(((residual(z, mu), z) for z in starts), key=lambda c: c[0])
-    best = (res, x.copy(), mu)
-    stall = 0
-    total_iters = 0
-    for _ in range(st.max_continuations if best[0] > tol else 0):
-        def fun(z, mu=mu):
+    def run(self, mu, x, max_iters):
+        """One ``lbfgs.minimize`` run of J_mu from x."""
+        def fun(z):
             try:
-                val, grad = _objective_and_grad(model, kernel, states_at, z, mu, penalty, exact)
+                val, grad = _objective_and_grad(
+                    self.model, self.kernel, self.states_at, z, mu, self.penalty, self.exact)
             except BlowUpError:
-                # hand the line search a steep retreat toward smaller controls
+                val = float("inf")
+            if not np.isfinite(val):  # a steep retreat toward smaller controls
                 val, grad = _RETREAT * (1.0 + float(z @ z)), 2.0 * _RETREAT * z
-            else:
-                if not np.isfinite(val):
-                    raise OptimizationError("penalty objective diverged to non-finite values")
-            return (val, grad) if exact else val
+            return (val, grad) if self.exact else val
 
         from . import lbfgs  # deferred: compiled only when a solve iterates
 
-        objective = fun if exact else lbfgs.forward_difference(fun)
-        sol = lbfgs.minimize(objective, x, st.max_iters, _GRADIENT_TOL)
+        return lbfgs.minimize(fun if self.exact else lbfgs.forward_difference(fun), x, max_iters, _GRADIENT_TOL)
+
+
+def _start(tg: TimeGrid, n_modes: int, warm_start: Optional[Control]) -> np.ndarray:
+    """The flattened warm start, checked against the control shape, or zeros."""
+    if warm_start is None:
+        return np.zeros(tg.n_steps * n_modes)
+    if warm_start.values.shape != (tg.n_steps, n_modes):
+        raise GridMismatchError("warm start control has the wrong shape")
+    return warm_start.values.reshape(-1)
+
+
+def _penalty_continuation(solver: _Solver, x, res, tol, st) -> RateResult:
+    """The doubling penalty continuation behind every rate minimizer.
+
+    Drives the residual of ``solver`` below ``tol`` from the start x, whose
+    residual is ``res``. Each continuation runs ``solver.run`` from the
+    previous iterate, doubles mu, and keeps the best-residual iterate seen;
+    the start counts, so a feasible warm start is never lost to a
+    low-penalty wander. Three continuations without a 1% gain end the run as
+    infeasible. Converged results carry the minimizer's action as value, the
+    rest +inf.
+    """
+    mu = _PENALTY0
+    best = (res, x.copy(), mu)
+    stall = total_iters = 0
+    for _ in range(st.max_continuations if res > tol else 0):
+        sol = solver.run(mu, x, st.max_iters)
         x = sol.x
         total_iters += int(sol.nit)
-        res = residual(x, mu)
+        res = solver.residual(x)
         if res < best[0]:
             stall = 0 if res < 0.99 * best[0] else stall + 1
             best = (res, x.copy(), mu)
@@ -431,15 +434,12 @@ def _penalty_continuation(model, kernel, u0, penalty, starts, tol, st, singular=
         mu *= 2.0
 
     res, x, mu = best
-    if res > tol:
-        return RateResult(
-            value=float("inf"), minimizer=None, residual=res,
-            converged=False, iterations=total_iters, penalty=mu,
-        )
-    v = Control(tg, x.reshape(tg.n_steps, -1))
+    tg = solver.kernel.timegrid
+    converged = bool(res <= tol)
+    v = Control(tg, x.reshape(tg.n_steps, -1)) if converged else None
     return RateResult(
-        value=action(v), minimizer=v, residual=res,
-        converged=True, iterations=total_iters, penalty=mu,
+        value=action(v) if converged else float("inf"), minimizer=v, residual=res,
+        converged=converged, iterations=total_iters, penalty=mu,
     )
 
 
@@ -459,7 +459,9 @@ def minimize_rate(
     ``skeleton.distance_weights`` kind: "terminal" for endpoint queries, held
     to ``query.tau_end``; "uniform" for path queries, held to
     ``settings.residual_tol``, and not the "l2rms" of
-    ``constrained_rate_minimum`` and the Monte Carlo set events.
+    ``constrained_rate_minimum`` and the Monte Carlo set events. The start is
+    ``warm_start``, else zero or, on a path, the stepwise least squares when
+    its residual is no larger.
     """
     grid = model.grid
     if query.u0.grid != grid:
@@ -482,20 +484,16 @@ def minimize_rate(
         tol = query.tau_end
 
     kernel = StepKernel.build(model, tg)
-    n_modes = model.noise.n_modes
-    if warm_start is not None and warm_start.values.shape != (tg.n_steps, n_modes):
-        raise GridMismatchError("warm start control has the wrong shape")
-    zero = np.zeros(tg.n_steps * n_modes)
-    if warm_start is not None:
-        starts = [warm_start.values.reshape(-1)]
-    elif query.mode == "path":
+    starts = [_start(tg, model.noise.n_modes, warm_start)]
+    if warm_start is None and query.mode == "path":
         # reachable paths are solved outright by the stepwise least squares;
-        # the continuation below then only has to certify (or polish) it
+        # the continuation then only has to certify (or polish) it
         x = _stepwise_least_squares(model, kernel, target_path).reshape(-1)
-        starts = [x, zero] if np.all(np.isfinite(x)) else [zero]
-    else:
-        starts = [zero]
-    return _penalty_continuation(model, kernel, query.u0, penalty, starts, tol, query.settings)
+        if np.all(np.isfinite(x)):
+            starts.insert(0, x)
+    solver = _Solver(model, kernel, query.u0, penalty)
+    res, x = min(((solver.residual(z), z) for z in starts), key=lambda c: c[0])
+    return _penalty_continuation(solver, x, res, tol, query.settings)
 
 
 def check_gradient(
@@ -516,10 +514,7 @@ def check_gradient(
     v = scale * rng.standard_normal(tg.n_steps * model.noise.n_modes)
     zero_path = g0_map(model, u0, Control.zero(tg, model.noise.n_modes))
     penalty = _quadratic_penalty(model.grid, tg, "uniform", zero_path)
-
-    def sweep(weights):
-        return _forward_states(model, kernel, u0, weights)[0]
-
+    sweep = _Solver(model, kernel, u0, penalty).states_at
     _, grad = _objective_and_grad(model, kernel, sweep, v, 5.0, penalty)
     num = np.empty_like(v)
     h = 1e-6
@@ -720,23 +715,25 @@ def constrained_rate_minimum(
     the 5% interior margin keeps minimizers strictly off the boundary so
     membership survives sampling and discretization jitter. ``radius`` is
     checked against ``BALL_RADIUS[mode]``: inside mode takes inf (the whole
-    space), outside mode only finite radii.
+    space), outside mode only finite radii. An outside-mode start on phi_ref
+    itself, where the distance has no gradient, first takes a fixed nudge.
     """
     if mode not in BALL_RADIUS:
         raise DomainError(f"mode must be 'inside' or 'outside', got {mode!r}")
     check_value("radius", radius, BALL_RADIUS[mode])
     st = settings or OptimizerSettings()
-    kernel = StepKernel.build(model, tg)
-    n_modes = model.noise.n_modes
-    if warm_start is not None and warm_start.values.shape != (tg.n_steps, n_modes):
-        raise GridMismatchError("warm start control has the wrong shape")
-    x = warm_start.values.reshape(-1) if warm_start is not None else np.zeros(tg.n_steps * n_modes)
+    x = _start(tg, model.noise.n_modes, warm_start)
     phi_ref = np.asarray(phi_ref, dtype=float)
     if phi_ref.shape != (tg.n_steps + 1, *model.grid.shape):
         raise GridMismatchError("reference trajectory shape mismatch")
 
     penalty, dist_sq = _hinge_penalty(model.grid, tg, phi_ref, radius, mode)
-    # the distance gradient is singular on the reference path itself, so an
-    # outside-mode start on it (u_v = phi_ref) needs a symmetry-breaking nudge
-    singular = (lambda states: np.sqrt(dist_sq(states)[0]) < 1e-12) if mode == "outside" else None
-    return _penalty_continuation(model, kernel, u0, penalty, [x], st.residual_tol, st, singular)
+    solver = _Solver(model, StepKernel.build(model, tg), u0, penalty)
+    if mode == "outside":
+        try:
+            on_ref = np.sqrt(dist_sq(solver.states_of(x))[0]) < 1e-12
+        except BlowUpError:
+            on_ref = False
+        if on_ref:
+            x = x + 1e-2 * np.random.Generator(np.random.Philox(99)).standard_normal(x.size)
+    return _penalty_continuation(solver, x, solver.residual(x), st.residual_tol, st)

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, outputs, manifests, determinism."""
 
 import ast
+import builtins
 import dataclasses
 import json
 import os
@@ -8,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fracldp
@@ -252,6 +254,53 @@ def test_no_module_imports_scipy():
                 continue
             offenders += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def test_every_exception_class_maps_to_an_exit_code():
+    """A static scan with ``ast``: every exception class that ``src/fracldp``
+    defines is, or subclasses, a class that an ``except`` clause of
+    ``cli.main`` maps to an exit code, so no library error leaves the CLI as
+    a traceback. Bases match by their bare names, as in
+    ``tests/test_reachability.py``."""
+    src = pathlib.Path(fracldp.__file__).parent
+    bases = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+    cli_tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    main_def = next(n for n in cli_tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    mapped = {n.id for h in ast.walk(main_def) if isinstance(h, ast.ExceptHandler)
+              for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+    assert {"ConfigError", "DomainError", "BlowUpError"} <= mapped
+
+    def ancestors(name):
+        return {name}.union(*(ancestors(b) for b in bases.get(name, [])))
+
+    def builtin_exception(name):
+        obj = getattr(builtins, name, None)
+        return isinstance(obj, type) and issubclass(obj, BaseException)
+
+    errors = [n for n in bases if any(builtin_exception(a) for a in ancestors(n))]
+    assert "BlowUpError" in errors
+    assert [n for n in errors if not ancestors(n) & mapped] == []
+
+
+def test_overflowing_endpoint_target_exits_4(tmp_path):
+    """An endpoint level of 1e160 overflows the squared "terminal" distance,
+    whose zero time weights then multiply inf: a NaN residual. It reads as
+    an infinite one, never as a met tolerance, and the non-finite objective
+    takes the blow-up retreat, so the run ends unconverged with its record
+    written."""
+    cfg = write_config(tmp_path, "rate-min", {"preset": "default"},
+                       {"target": "endpoint", "endpoint_level": 1e160})
+    out = tmp_path / "out"
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert run_cli("rate-min", cfg, out) == 4
+    rate = next(r for r in read_ndjson(out / "records.ndjson")
+                if r["kind"] == "rate")
+    assert rate["converged"] is False
+    assert rate["value"] == "inf"
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):

@@ -308,10 +308,7 @@ def test_variational_value_matches_the_gaussian_oracle(points):
     kernel = StepKernel.build(model, tg)
     assert (kernel.propagator_matrix is None) == (points > DENSE_FACTOR_MAX_POINTS)
     penalty = rate._quadratic_penalty(grid, tg, "terminal", a)
-
-    def sweep(weights):
-        return rate._forward_states(model, kernel, u0, weights)[0]
-
+    sweep = rate._Solver(model, kernel, u0, penalty).states_at
     sol = scipy.optimize.minimize(
         lambda z: rate._objective_and_grad(model, kernel, sweep, z, 0.5 * c, penalty),
         np.zeros(tg.n_steps * model.noise.n_modes), jac=True, method="L-BFGS-B",
@@ -323,24 +320,17 @@ def test_variational_value_matches_the_gaussian_oracle(points):
 
 @pytest.mark.parametrize("points", [32, 512])
 def test_variational_value_matches_the_gaussian_oracle_with_the_labs_lbfgs(points):
-    """The twin of the test above with the rate solver's own minimizer in
-    place of scipy's, held to the same bound."""
+    """The twin of the test above through the rate solver's own inner solve:
+    one run at mu = c/2 from zero, held to the same bound."""
     grid = standard_grid(alpha=0.75, points=points)
     model = linear_additive_model(grid)
     tg = TimeGrid(0.5, 64)
     u0 = default_initial_datum(grid)
     a, c = -0.5 * u0.values, 20.0
     value, _ = gaussian_oracle(model, u0, tg, a, c)
-    kernel = StepKernel.build(model, tg)
-    penalty = rate._quadratic_penalty(grid, tg, "terminal", a)
-
-    def sweep(weights):
-        return rate._forward_states(model, kernel, u0, weights)[0]
-
-    sol = lbfgs.minimize(
-        lambda z: rate._objective_and_grad(model, kernel, sweep, z, 0.5 * c, penalty),
-        np.zeros(tg.n_steps * model.noise.n_modes), 15_000, rate._GRADIENT_TOL,
-    )
+    solver = rate._Solver(model, StepKernel.build(model, tg), u0, rate._quadratic_penalty(grid, tg, "terminal", a))
+    assert solver.exact
+    sol = solver.run(0.5 * c, np.zeros(tg.n_steps * model.noise.n_modes), 15_000)
     assert sol.success
     assert sol.fun == pytest.approx(value, rel=1e-10, abs=0.0)
 
