@@ -2,6 +2,7 @@
 reduction oracles, Gaussian statistics, and the Monte Carlo experiments."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from fracldp import zoo
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec, array_l2_sq
 from fracldp.ldp import uniform_convergence_experiment
+from fracldp.models import ForcingSpec, ModelSpec
 from fracldp.skeleton import (
     BlowUpError,
     Control,
@@ -417,6 +419,56 @@ def test_overflow_in_blown_paths_emits_no_warning(default_setup):
         # a guard below the initial sup norm trips every path at step 1
         sums = batch_paths(m, u0, SdeConfig(0.1, tg, linf_guard=1e-3), 4, base_seed=1)
         assert all(s.blow_step == 1 for s in sums)
+
+
+def _callback_model():
+    """Drift, noise and forcing all callbacks, each depending on t."""
+    grid = zoo.standard_grid(points=32)
+    base = zoo.build_model(grid)
+    x = grid.coords()[0]
+    return ModelSpec(
+        grid=grid,
+        drift=dataclasses.replace(base.drift, form="custom-callback",
+                                  callback=lambda t, c, u: u * u * u - (1.0 + t) * u),
+        noise=dataclasses.replace(base.noise, form="custom-callback",
+                                  sigma2_callback=lambda t, c, u, k: np.tanh(u) * (k + 1.0) / (1.0 + t)),
+        forcing=ForcingSpec(grid, form="custom-callback", callback=lambda t: 0.2 * np.cos(x) * np.sin(3.0 * t)),
+    )
+
+
+_PIN_MODELS = {
+    "default": zoo.default_model,
+    "fractional": zoo.fractional_model,
+    "2d": lambda: zoo.build_model(GridSpec(dim=2, half_length=2.0, points_per_dim=16, alpha=0.8)),
+    "callbacks": _callback_model,
+}
+
+
+def test_step_bits_are_pinned():
+    """The IMEX step returns the same bits through both of its loops: the
+    dense sweep's states and half spectra, and one 512-path batch's summaries
+    with their distances to that sweep, on a 1-D, a fractional, a 2-D and an
+    all-callback model."""
+    tg = TimeGrid(0.25, 16)
+    got = {}
+    for name, build in _PIN_MODELS.items():
+        model = build()
+        u0 = zoo.default_initial_datum(model.grid)
+        weights = tg.dt * np.random.default_rng(29).standard_normal((tg.n_steps, model.noise.n_modes))
+        states, hats = forward_states(model, StepKernel.build(model, tg), u0, weights)
+        sums = batch_paths(model, u0, SdeConfig(0.2, tg), 512, base_seed=29, references=[states])
+        h = hashlib.sha256(states.tobytes() + hats.tobytes())
+        for s in sums:
+            for x in (s.blow_step or 0, s.sup_l2, s.terminal_l2, s.terminal_mean, s.v_int, s.lp_int, s.energy):
+                h.update(float(x).hex().encode())
+            h.update(s.dists.tobytes())
+        got[name] = h.hexdigest()[:16]
+    assert got == {
+        "default": "b188765c242df847",
+        "fractional": "51a3dfb53126bf15",
+        "2d": "8f2022342a8f99ec",
+        "callbacks": "6c94ebac17b0fdec",
+    }
 
 
 def test_probe_inner_matches_manual(default_setup):
