@@ -217,6 +217,16 @@ class NoiseSpec:
             idx = slice(int(idx[0]), int(idx[-1]) + 1)
         return idx, flat[idx]
 
+    @cached_property
+    def sigma1_flat(self) -> np.ndarray:
+        """sigma1 as a (K, M) matrix over the M flattened grid points."""
+        return self.sigma1.reshape(self.n_modes, -1)
+
+    @cached_property
+    def root_gamma(self) -> np.ndarray:
+        """sqrt(gamma_k) per mode: the scale of a separable sigma2_k."""
+        return np.sqrt(self.coeff_gamma)
+
     def profile(self, u: np.ndarray) -> np.ndarray:
         """Shared scalar profile s(u) of the built-in forms."""
         phi = np.abs(u) ** (self.q / 2.0)
@@ -234,12 +244,12 @@ class NoiseSpec:
     def sigma2_mode(self, t: float, k: int, u: np.ndarray) -> np.ndarray:
         """sigma2_k(t, x, u) as an array shaped like u."""
         if self.separable:
-            return np.sqrt(self.coeff_gamma[k]) * self.profile(u)
+            return self.root_gamma[k] * self.profile(u)
         return self.sigma2_callback(t, self.grid.coords(), u, k)
 
     def sigma2_mode_deriv(self, t: float, k: int, u: np.ndarray) -> Optional[np.ndarray]:
         if self.separable:
-            return np.sqrt(self.coeff_gamma[k]) * self.profile_deriv(u)
+            return self.root_gamma[k] * self.profile_deriv(u)
         if self.sigma2_deriv_callback is not None:
             return self.sigma2_deriv_callback(t, self.grid.coords(), u, k)
         return None
@@ -260,23 +270,24 @@ def noise_apply_array(noise: NoiseSpec, t: float, u: np.ndarray, w: np.ndarray) 
     """sum_k sigma_k(t, x, u) * w_k for raw arrays; leading batch axes allowed.
 
     ``u`` has shape (*batch, *grid.shape) and ``w`` shape (*batch, K); the
-    result matches ``u``. This is the hot path shared by the deterministic and
-    stochastic steppers, so built-in (separable) forms avoid materializing the
-    K mode fields.
+    result matches ``u``. This is the one implementation of the noise term,
+    called on every step of both step loops: it reads the constants the spec
+    caches (``sigma1_flat``, ``root_gamma``, ``kappa_support``), and built-in
+    (separable) forms avoid materializing the K mode fields.
     """
     grid = noise.grid
     dim = grid.dim
     batch = u.shape[: u.ndim - dim]
     if w.shape != (*batch, noise.n_modes):
         raise GridMismatchError(f"mode-weight shape {w.shape} does not match batch {batch}")
-    add = (w @ noise.sigma1.reshape(noise.n_modes, -1)).reshape(u.shape)
+    add = (w @ noise.sigma1_flat).reshape(u.shape)
     if noise.separable:
         # kappa*s(u) is evaluated on kappa's support only; elsewhere the
         # modes are sigma1 alone
         idx, kappa_on_support = noise.kappa_support
         term = noise.profile(u.reshape(*batch, -1)[..., idx])
         term *= kappa_on_support
-        term *= (w @ np.sqrt(noise.coeff_gamma))[..., None]
+        term *= (w @ noise.root_gamma)[..., None]
         add.reshape(*batch, -1)[..., idx] += term
         return add
     coords = grid.coords()

@@ -221,7 +221,7 @@ def _linearize(model: ModelSpec, kernel: StepKernel, states: np.ndarray, weights
     idx, kappa_on_support = noise.kappa_support
     if noise.separable:  # sigma2_k = sqrt(gamma_k) s(u)
         u_s = u.reshape(tg.n_steps, -1)[:, idx]
-        root = np.sqrt(noise.coeff_gamma)[:, None]
+        root = noise.root_gamma[:, None]
         sig2 = root * (kappa_on_support * noise.profile(u_s))[:, None, :]
         dsig2 = root * (kappa_on_support * noise.profile_deriv(u_s))[:, None, :]
     else:
@@ -255,7 +255,7 @@ def _adjoint_grad(model, kernel, states, weights, dpen) -> np.ndarray:
     E is applied in one of two ways, which agree to roundoff (a relative
     1e-15): as one product ``lam @ kernel.propagator_matrix`` per step on
     grids of at most ``skeleton.DENSE_FACTOR_MAX_POINTS`` points, and as the
-    ``rfftn``/``irfftn`` pair of ``_apply_propagator`` on larger grids.
+    kernel's transform pair in ``_apply_propagator`` on larger grids.
     """
     tg = kernel.timegrid
     noise = model.noise
@@ -265,13 +265,13 @@ def _adjoint_grad(model, kernel, states, weights, dpen) -> np.ndarray:
     dpen = dpen.reshape(tg.n_steps + 1, -1)
     e_flat = np.empty_like(jac)
     lam = dpen[tg.n_steps]
-    for n in range(tg.n_steps - 1, -1, -1):
+    for e, j, d in zip(e_flat[::-1], jac[::-1], dpen[-2::-1]):
         if matrix is None:
-            e_flat[n] = _apply_propagator(kernel, lam.reshape(model.grid.shape)).ravel()
+            e[:] = _apply_propagator(kernel, lam.reshape(model.grid.shape)).ravel()
         else:
-            np.matmul(lam, matrix, out=e_flat[n])
-        lam = jac[n] * e_flat[n] + dpen[n]
-    grad = e_flat @ noise.sigma1.reshape(noise.n_modes, -1).T
+            np.matmul(lam, matrix, out=e)
+        lam = j * e + d
+    grad = e_flat @ noise.sigma1_flat.T
     # in the column-major layout a fancy index gives: einsum's rounding depends on it
     grad += np.einsum("nks,ns->nk", sig2, np.asfortranarray(e_flat[:, noise.kappa_support[0]]))
     return tg.dt * grad

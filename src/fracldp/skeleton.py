@@ -19,17 +19,19 @@ where w_n collects everything that multiplies the modes over the step
 stochastic module, so the zero-noise limit reproduces this solver's
 arithmetic exactly).
 
-Fields are real, so the transforms are ``numpy.fft.rfftn``/``irfftn`` over the
-spatial axes: the spectrum is kept in the half layout whose last axis holds
-the bins 0..N/2, and the seminorm diagnostics weight it with
+Fields are real, so the transforms are real-to-half-spectrum pairs over the
+spatial axes, bound once per ``StepKernel``: ``numpy.fft.rfft``/``irfft`` on
+1-D grids and ``rfftn``/``irfftn`` on the others (on one axis the two pairs
+give the same bits). The spectrum is kept in the half layout whose last axis
+holds the bins 0..N/2, and the seminorm diagnostics weight it with
 ``grids.half_spectrum_multipliers``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
-from typing import ClassVar, Optional
+from functools import cached_property, partial
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -128,14 +130,21 @@ class Control:
 
 @dataclass(frozen=True)
 class StepKernel:
-    """Precomputed per-step operators for one (model, timegrid) pair.
+    """Everything the IMEX step reads, bound once per (model, timegrid) pair.
 
     ``propagator`` is the integrating factor on the full grid shape;
-    ``half_propagator`` is its view on the ``rfftn`` half-spectrum, the one
-    the step applies. ``half_multipliers`` are the Hermitian-weighted symbol
-    multipliers that ``array_seminorm_sq`` takes. ``fft_shape`` and
-    ``fft_axes`` are the ``s`` and ``axes`` of every transform, built once
-    here rather than on each of the many calls per sweep.
+    ``half_propagator`` is its view on the half spectrum, the one the step
+    applies. ``half_multipliers`` are the Hermitian-weighted symbol
+    multipliers that ``array_seminorm_sq`` takes. ``rfft`` and ``irfft`` are
+    the transform pair over the spatial axes: ``numpy.fft.rfft``/``irfft`` on
+    1-D grids, which give the bits of ``rfftn``/``irfftn`` at less overhead
+    per call, and ``rfftn``/``irfftn`` on the others.
+
+    ``step(t, u, w, out)`` is the step's arithmetic, a closure over dt, the
+    half propagator, the pair, the drift and noise, and the forcing array
+    when the forcing is time-constant (a callback forcing is called every
+    step). ``step_once`` is its one caller, so that its per-call overhead is
+    only the step's own.
 
     ``propagator_matrix`` is the same integrating factor as a dense, read-only
     (M, M) matrix over the M = prod(grid.shape) flattened points, or None
@@ -155,24 +164,56 @@ class StepKernel:
     half_propagator: np.ndarray = dc_field(repr=False, default=None)
     half_multipliers: np.ndarray = dc_field(repr=False, default=None)
     coords: tuple = dc_field(repr=False, default=None)
-    fft_shape: tuple = dc_field(repr=False, default=None)
-    fft_axes: tuple = dc_field(repr=False, default=None)
+    rfft: Callable = dc_field(repr=False, default=None)
+    irfft: Callable = dc_field(repr=False, default=None)
+    step: Callable = dc_field(repr=False, default=None)
 
     @staticmethod
     def build(model: ModelSpec, timegrid: TimeGrid) -> "StepKernel":
         grid = model.grid
+        dt = timegrid.dt
         sym = fractional_symbol(grid)
-        prop = np.exp(-sym.multipliers * timegrid.dt)
+        prop = np.exp(-sym.multipliers * dt)
         prop.setflags(write=False)
+        half = prop[..., : grid.points_per_dim // 2 + 1]
+        if grid.dim == 1:
+            rfft, irfft = np.fft.rfft, partial(np.fft.irfft, n=grid.points_per_dim)
+        else:
+            axes = tuple(range(-grid.dim, 0))
+            rfft = partial(np.fft.rfftn, s=grid.shape, axes=axes)
+            irfft = partial(np.fft.irfftn, s=grid.shape, axes=axes)
+        coords = tuple(grid.coords())
+        drift, noise, forcing = model.drift.value, model.noise, model.forcing.value
+        g = None if model.forcing.form == "custom-callback" else forcing(0.0)
+
+        def step(t, u, w, out):
+            f = np.asarray(drift(t, coords, u), dtype=float)
+            if f.shape != u.shape:  # a callback may return a scalar or a broadcastable array
+                f = np.broadcast_to(f, u.shape)
+            # u* = u + dt*(g - f/(1 + dt*|f|)) + noise, in this order of
+            # operations, built in one fresh buffer (f may alias a callback's data)
+            u_star = np.abs(f)
+            u_star *= dt
+            u_star += 1.0
+            np.divide(f, u_star, out=u_star)
+            np.subtract(forcing(t) if g is None else g, u_star, out=u_star)
+            u_star *= dt
+            u_star += u
+            u_star += noise_apply_array(noise, t, u, w)
+            hat = rfft(u_star)
+            hat *= half
+            return irfft(hat, out=out), hat
+
         return StepKernel(
             model=model,
             timegrid=timegrid,
             propagator=prop,
-            half_propagator=prop[..., : grid.points_per_dim // 2 + 1],
+            half_propagator=half,
             half_multipliers=half_spectrum_multipliers(grid),
-            coords=tuple(grid.coords()),
-            fft_shape=grid.shape,
-            fft_axes=tuple(range(-grid.dim, 0)),
+            coords=coords,
+            rfft=rfft,
+            irfft=irfft,
+            step=step,
         )
 
     @cached_property
@@ -184,53 +225,29 @@ class StepKernel:
         size = self.model.grid.n_total
         if size > DENSE_FACTOR_MAX_POINTS:
             return None
-        hat = self.rfft(np.eye(size).reshape(size, *self.fft_shape))
+        hat = self.rfft(np.eye(size).reshape(size, *self.model.grid.shape))
         hat *= self.half_propagator
         matrix = self.irfft(hat).reshape(size, size)
         matrix.setflags(write=False)
         return matrix
 
-    def rfft(self, u: np.ndarray) -> np.ndarray:
-        """Half-spectrum ``rfftn`` of ``u`` over the spatial axes."""
-        return np.fft.rfftn(u, s=self.fft_shape, axes=self.fft_axes)
 
-    def irfft(self, hat: np.ndarray) -> np.ndarray:
-        """Inverse of ``rfft``: the real field of grid shape behind ``hat``."""
-        return np.fft.irfftn(hat, s=self.fft_shape, axes=self.fft_axes)
-
-
-def step_once(kernel: StepKernel, t: float, u: np.ndarray, w: np.ndarray):
+def step_once(kernel: StepKernel, t: float, u: np.ndarray, w: np.ndarray, out=None):
     """One IMEX step; ``u`` may carry leading batch axes, ``w`` is (*batch, K).
 
     This is the only IMEX step, called from two loops: the dense sweep
-    ``forward_states`` and the batched ``stochastic._step_loop``. Its
-    per-call overhead is paid on every step of every caller. The explicit
-    update goes through ``rfftn``, the half-spectrum propagator and
-    ``irfftn``. Returns (u_next, hat): ``hat`` is the ``rfftn`` of u_next
-    over the spatial axes, shape (*batch, *grid.shape[:-1], N//2 + 1),
-    reused for the spectral diagnostics.
+    ``forward_states`` and the batched ``stochastic._step_loop``. It runs
+    ``kernel.step``, the arithmetic bound once per kernel, so a call pays no
+    per-call lookup of the model's constants. The explicit update goes
+    through ``kernel.rfft``, the half-spectrum propagator and
+    ``kernel.irfft``, which writes u_next into ``out`` when given. Returns
+    (u_next, hat): ``hat`` is the ``rfft`` of u_next over the spatial axes,
+    shape (*batch, *grid.shape[:-1], N//2 + 1), reused for the spectral
+    diagnostics.
     """
-    model = kernel.model
-    dt = kernel.timegrid.dt
-
     # overflow here is legal: the guards of both loops handle the fallout
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.asarray(model.drift.value(t, kernel.coords, u), dtype=float)
-        if f.shape != u.shape:  # a callback may return a scalar or a broadcastable array
-            f = np.broadcast_to(f, u.shape)
-        # u* = u + dt*(g - f/(1 + dt*|f|)) + noise, in this order of
-        # operations, built in one fresh buffer (f may alias a callback's data)
-        u_star = np.abs(f)
-        u_star *= dt
-        u_star += 1.0
-        np.divide(f, u_star, out=u_star)
-        np.subtract(model.forcing.value(t), u_star, out=u_star)
-        u_star *= dt
-        u_star += u
-        u_star += noise_apply_array(model.noise, t, u, w)
-        hat = kernel.rfft(u_star)
-        hat *= kernel.half_propagator
-        return kernel.irfft(hat), hat
+        return kernel.step(t, u, w, out)
 
 
 @dataclass
@@ -268,12 +285,13 @@ class SkeletonSolution:
 def forward_states(
     model: ModelSpec, kernel: StepKernel, u0: Field, weights: np.ndarray, guard: float = np.inf
 ):
-    """The dense sweep: (states u_0..u_N of one path, the ``rfftn`` of u_1..u_N).
+    """The dense sweep: (states u_0..u_N of one path, the ``rfft`` of u_1..u_N).
 
     ``weights`` are the (n_steps, K) mode multipliers: dt*v for the solver and
     the rate's forward map, sqrt(eps)*dW (plus the shift) for ``simulate_sde``.
-    ``step_once`` carries non-finite values, so the loop runs to the end and
-    checks the stack once: BlowUpError names the first step whose sup norm is
+    Each step writes u_{n+1} straight into the states stack. ``step_once``
+    carries non-finite values, so the loop runs to the end and checks the
+    stack once: BlowUpError names the first step whose sup norm is
     non-finite or above ``guard``.
     """
     tg = kernel.timegrid
@@ -282,8 +300,7 @@ def forward_states(
     states[0] = u = u0.values
     ts = tg.times()
     for n in range(tg.n_steps):
-        u, hats[n] = step_once(kernel, ts[n], u, weights[n])
-        states[n + 1] = u
+        u, hats[n] = step_once(kernel, ts[n], u, weights[n], states[n + 1])
     mags = np.max(np.abs(states[1:].reshape(tg.n_steps, -1)), axis=1)
     bad = ~np.isfinite(mags) | (mags > guard)
     if bad.any():

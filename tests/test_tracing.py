@@ -66,8 +66,9 @@ def test_traced_run_computes_its_layer_metrics(tmp_path, capsys, name):
 
 def test_traced_rate_solve_runs_the_adjoint():
     """A small endpoint solve under the tracer reaches L-BFGS, so the adjoint
-    spans and the iteration count are read, and uninstall restores the
-    bindings the tracer rebinds in ``rate``."""
+    spans and the iteration count are read; every forward sweep runs its
+    steps through the traced ``skeleton.step_once``; and uninstall restores
+    the bindings the tracer rebinds in ``rate``."""
     model = zoo.default_model()
     tg = TimeGrid(0.2, 8)
     u0 = zoo.default_initial_datum(model.grid)
@@ -88,3 +89,5 @@ def test_traced_rate_solve_runs_the_adjoint():
     assert metrics["rate.objective_and_grad.calls"] > 0
     assert metrics["rate.adjoint_s"] > 0
     assert metrics["rate.minimize_rate.lbfgs_iters"] == result.iterations > 0
+    sweeps = sum(1 for span in tracer.spans[mark[0]:] if span[0] == "rate.forward")
+    assert metrics["skeleton.step_once.calls"] == tg.n_steps * sweeps > 0
