@@ -484,15 +484,16 @@ def minimize_rate(
         tol = query.tau_end
 
     kernel = StepKernel.build(model, tg)
-    starts = [_start(tg, model.noise.n_modes, warm_start)]
+    solver = _Solver(model, kernel, query.u0, penalty)
+    x = _start(tg, model.noise.n_modes, warm_start)
+    res = solver.residual(x)
     if warm_start is None and query.mode == "path":
         # reachable paths are solved outright by the stepwise least squares;
-        # the continuation then only has to certify (or polish) it
-        x = _stepwise_least_squares(model, kernel, target_path).reshape(-1)
-        if np.all(np.isfinite(x)):
-            starts.insert(0, x)
-    solver = _Solver(model, kernel, query.u0, penalty)
-    res, x = min(((solver.residual(z), z) for z in starts), key=lambda c: c[0])
+        # the continuation then only has to certify (or polish) it. It is
+        # swept last, so the memo holds it when L-BFGS starts there.
+        ls = _stepwise_least_squares(model, kernel, target_path).reshape(-1)
+        if np.all(np.isfinite(ls)) and (ls_res := solver.residual(ls)) <= res:
+            x, res = ls, ls_res
     return _penalty_continuation(solver, x, res, tol, query.settings)
 
 

@@ -472,6 +472,28 @@ def test_rate_solve_sweeps_once_per_objective_evaluation(setup, monkeypatch, sol
     assert counts["repeats"] == 0
 
 
+def test_path_solve_sweeps_no_start_twice(setup, monkeypatch):
+    """A path solve reads the zero start's residual before the least-squares
+    start's, so when L-BFGS begins at the least-squares start the sweep memo
+    already holds it: on the off-range path of ``test_rate_results_are_pinned``
+    no weights are swept twice."""
+    model, u0, tg = setup
+    x = model.grid.coords()[0]
+    v_true = Control(tg, 0.6 * np.random.default_rng(11).standard_normal((tg.n_steps, model.noise.n_modes)))
+    path = g0_map(model, u0, v_true, tg)
+    off = path + 0.05 * np.linspace(0.0, 1.0, tg.n_steps + 1)[:, None] * np.exp(-x**2)
+    swept = []
+    forward = rate._forward_states
+
+    def recorded_forward(model, kernel, u0, weights):
+        swept.append(weights.tobytes())
+        return forward(model, kernel, u0, weights)
+
+    monkeypatch.setattr(rate, "_forward_states", recorded_forward)
+    res = minimize_rate(model, RateQuery(u0=u0, target_path=off), tg)
+    assert res.iterations > 0
+    assert len(swept) == len(set(swept))
+
 def test_rate_solves_match_scipy_lbfgs_b_on_the_benchmark_panel(monkeypatch):
     """The endpoint solves of the rate-endpoint benchmark (default model,
     targets G0(u0, v)(T) of v = 4 * default_rng(j).standard_normal((64, 4)),
