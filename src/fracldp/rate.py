@@ -144,12 +144,18 @@ def _has_exact_gradients(model: ModelSpec) -> bool:
 def _smooth_distance(grid, tg, kind, ref):
     """``(dist_sq, w, D)`` of a ``distance_weights`` kind to ``ref``, a path or
     a field held over time: ``dist_sq(states)`` gives d^2 and the differences
-    u_k - ref_k, and d(d^2)/du_k = (2 cv w_k / D)(u_k - ref_k)."""
+    u_k - ref_k, and d(d^2)/du_k = (2 cv w_k / D)(u_k - ref_k). Only slices
+    of positive weight are squared, so none turns an overflow into 0*inf =
+    NaN; a d^2 that overflows reads +inf silently, as in ``_step_loop``."""
     w, norm = distance_weights(kind, tg)
+    on = np.flatnonzero(w)
 
     def dist_sq(states):
         diffs = states - ref
-        return float(np.sum(w * array_l2_sq(grid, diffs))) / norm, diffs
+        sq = np.zeros(len(w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq[on] = array_l2_sq(grid, diffs[on])
+            return float(np.sum(w * sq)) / norm, diffs
 
     return dist_sq, w, norm
 

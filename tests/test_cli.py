@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -287,9 +288,8 @@ def test_every_exception_class_maps_to_an_exit_code():
 
 
 def test_overflowing_endpoint_target_exits_4(tmp_path):
-    """An endpoint level of 1e160 overflows the squared "terminal" distance,
-    whose zero time weights then multiply inf: a NaN residual. It reads as
-    an infinite one, never as a met tolerance, and the non-finite objective
+    """An endpoint level of 1e160 overflows the squared "terminal" distance:
+    an infinite residual, never a met tolerance, and the non-finite objective
     takes the blow-up retreat, so the run ends unconverged with its record
     written."""
     cfg = write_config(tmp_path, "rate-min", {"preset": "default"},
@@ -302,6 +302,20 @@ def test_overflowing_endpoint_target_exits_4(tmp_path):
     assert rate["converged"] is False
     assert rate["value"] == "inf"
 
+
+def test_overflowing_endpoint_target_emits_no_warning(tmp_path):
+    """The overflow of that run's squared distance is legal and silent: only
+    the terminal slice is squared, so no ignored slice multiplies inf, and
+    the residual reads inf."""
+    cfg = write_config(tmp_path, "rate-min", {"preset": "default"},
+                       {"target": "endpoint", "endpoint_level": 1e160})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("rate-min", cfg, out) == 4
+    rate = next(r for r in read_ndjson(out / "records.ndjson")
+                if r["kind"] == "rate")
+    assert rate["residual"] == "inf"
 
 def test_worker_count_does_not_change_bytes(tmp_path):
     # two chunks: enough to exercise the pool split
