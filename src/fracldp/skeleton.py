@@ -184,7 +184,7 @@ class StepKernel:
             irfft = partial(np.fft.irfftn, s=grid.shape, axes=axes)
         coords = tuple(grid.coords())
         drift, noise, forcing = model.drift.value, model.noise, model.forcing.value
-        g = None if model.forcing.form == "custom-callback" else forcing(0.0)
+        g = None if model.forcing.form == "custom-callback" else forcing(0.0)  # built-ins are time-constant
 
         def step(t, u, w, out):
             f = np.asarray(drift(t, coords, u), dtype=float)
