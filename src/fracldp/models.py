@@ -280,18 +280,18 @@ def noise_apply_array(noise: NoiseSpec, t: float, u: np.ndarray, w: np.ndarray) 
     batch = u.shape[: u.ndim - dim]
     if w.shape != (*batch, noise.n_modes):
         raise GridMismatchError(f"mode-weight shape {w.shape} does not match batch {batch}")
-    add = (w @ noise.sigma1_flat).reshape(u.shape)
+    add = w @ noise.sigma1_flat  # (*batch, M)
     if noise.separable:
         # kappa*s(u) is evaluated on kappa's support only; elsewhere the
         # modes are sigma1 alone
         idx, kappa_on_support = noise.kappa_support
-        term = noise.profile(u.reshape(*batch, -1)[..., idx])
+        term = noise.profile(u.reshape(add.shape)[..., idx])
         term *= kappa_on_support
         term *= (w @ noise.root_gamma)[..., None]
-        add.reshape(*batch, -1)[..., idx] += term
-        return add
+        add[..., idx] += term
+        return add.reshape(u.shape)
     coords = grid.coords()
-    out = add
+    out = add.reshape(u.shape)
     for k in range(noise.n_modes):
         wk = w[..., k].reshape(*batch, *([1] * dim))
         out = out + noise.kappa.values * noise.sigma2_callback(t, coords, u, k) * wk
