@@ -29,7 +29,7 @@ from .grids import EPS_LADDER, NON_NEGATIVE, POSITIVE, Field, GridSpec, Range, a
 from .ldp import LdpExperimentPlan
 from .models import DriftSpec, ModelSpec, NoiseSpec, SamplingPlan, noise_exponent_range
 from .rate import OptimizerSettings, RateQuery
-from .skeleton import TimeGrid
+from .skeleton import TimeGrid, tail_radius_range
 from .stochastic import SdeConfig, WienerDriver
 from .zoo import BUILD_RANGES, PRESETS, build_model, default_initial_datum
 
@@ -307,6 +307,12 @@ def parse_config(text: str) -> RunConfig:
     else:
         exp_keys = {"name": (name, _ANY)} | _EXPERIMENT_KEYS[name]
         experiment = _fill_section(exp_raw, exp_keys, "experiment", errors)
+        radii = experiment.get("radii", "auto")
+        if radii != "auto" and "half_length" in grid:
+            in_grid = tail_radius_range(grid["half_length"])
+            if not all(in_grid.ok(r) for r in radii):
+                errors.append({"key": "experiment.radii", "found": repr(radii),
+                               "expected": f"tail radii inside the grid, each in {in_grid.expected}"})
 
     if errors:
         raise ConfigError(errors)

@@ -1,9 +1,10 @@
 """Unconstrained L-BFGS with a strong Wolfe line search, on numpy alone.
 
-The inner minimizer of ``rate._penalty_continuation``, after Liu & Nocedal
-(Math. Programming 1989) and Nocedal & Wright, *Numerical Optimization*
-(2nd ed., 2006): the two-loop recursion of Algorithm 7.4 over the last
-``MEMORY`` correction pairs, and the line search of Algorithms 3.5 and 3.6.
+The inner minimizer of every rate solve, reached through ``rate._Solver.run``,
+after Liu & Nocedal (Math. Programming 1989) and Nocedal & Wright, *Numerical
+Optimization* (2nd ed., 2006): the two-loop recursion of Algorithm 7.4 over
+the last ``MEMORY`` correction pairs, and the line search of Algorithms 3.5
+and 3.6.
 
 The stopping rules are those of scipy's L-BFGS-B on an unbounded problem:
 stop when max|g| <= ``gtol``, when the relative decrease

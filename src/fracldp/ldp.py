@@ -189,7 +189,8 @@ def estimate_ball_probability(
     given ``base_seed``/``stream_offset``. ``side="inside"`` counts
     dist < delta, ``side="outside"`` counts dist >= delta; on one seed the
     two fractions add to exactly 1 (shared paths, complementary events).
-    Blown-up paths carry infinite distance, hence never lie inside a ball.
+    Blown-up paths carry infinite distance, hence never lie inside a ball
+    and count as hits on ``side="outside"``.
     """
     check_value("delta", delta, NON_NEGATIVE_OR_INF)
     if side not in ("inside", "outside"):

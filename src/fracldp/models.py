@@ -802,7 +802,7 @@ def validate_noise(noise: NoiseSpec, p: float, plan: SamplingPlan) -> Validation
     sampled_ts = ts[:1] if noise.separable else ts
 
     # sigma2_k of a separable noise is sqrt(gamma_k)*s(u), as in NoiseSpec.sigma2_mode
-    roots = np.sqrt(noise.coeff_gamma)
+    roots = noise.root_gamma
 
     worst = _WorstMargins()
     blocks = _sample_blocks(len(u))

@@ -146,7 +146,7 @@ def _smooth_distance(grid, tg, kind, ref):
     a field held over time: ``dist_sq(states)`` gives d^2 and the differences
     u_k - ref_k, and d(d^2)/du_k = (2 cv w_k / D)(u_k - ref_k). Only slices
     of positive weight are squared, so none turns an overflow into 0*inf =
-    NaN; a d^2 that overflows reads +inf silently, as in ``_step_loop``."""
+    NaN; a d^2 that overflows reads +inf silently, as in ``batch_distances``."""
     w, norm = distance_weights(kind, tg)
     on = np.flatnonzero(w)
 

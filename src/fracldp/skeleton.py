@@ -6,8 +6,8 @@ The controlled equation on the torus is
 
 with a piecewise-constant-in-time control v valued in the mode space R^K.
 The integrator is the IMEX step ``step_once``, run by two loops: the dense
-sweep ``forward_states`` here and the batched ``stochastic._step_loop``, which
-serves both ``batch_paths`` and ``batch_distances``. It is explicit tamed
+sweep ``forward_states`` here and the batched ``stochastic._batch_steps``,
+read by both ``batch_paths`` and ``batch_distances``. It is explicit tamed
 drift and mode forcing, then the exact per-mode integrating factor of the
 fractional heat semigroup,
 
@@ -36,7 +36,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .grids import DomainError, Field, GridMismatchError, GridSpec
-from .grids import POSITIVE, at_least, check_ranges
+from .grids import POSITIVE, Range, at_least, check_ranges, check_value, is_num
 from .grids import (
     array_l2_sq,
     array_lp_pow,
@@ -239,7 +239,7 @@ def step_once(kernel: StepKernel, t: float, u: np.ndarray, w: np.ndarray, out=No
     """One IMEX step; ``u`` may carry leading batch axes, ``w`` is (*batch, K).
 
     This is the only IMEX step, called from two loops: the dense sweep
-    ``forward_states`` and the batched ``stochastic._step_loop``. It runs
+    ``forward_states`` and the batched ``stochastic._batch_steps``. It runs
     ``kernel.step``, the arithmetic bound once per kernel, so a call pays no
     per-call lookup of the model's constants. The explicit update goes
     through ``kernel.rfft``, the half-spectrum propagator and
@@ -409,7 +409,7 @@ def distance_weights(kind: str, timegrid: TimeGrid) -> tuple[np.ndarray, float]:
     """Time weights w_0..w_N and normaliser D of a smooth distance ``kind``.
 
     The one definition of d^2 = sum_k w_k ||u_k - ref_k||_L2^2 / D, over the
-    steps with w_k != 0, that ``stochastic.batch_paths`` and the rate
+    steps with w_k != 0, that ``stochastic.batch_distances`` and the rate
     penalties read: "terminal" is w = e_N, D = 1; "l2rms" the trapezoid
     weights, D = T; "uniform" all ones, D = N + 1.
     """
@@ -527,14 +527,20 @@ class TailCurve:
             yield {"radius": m, "sup_l2_tail": a, "lp_int_tail": b, "combined": c}
 
 
+def tail_radius_range(half_length: float) -> Range:
+    """Tail radii inside a grid of half-length L, 0 <= r < L: the one statement
+    of the rule that ``tail_mass_scan`` and the config layer both read."""
+    return Range(lambda r: is_num(r) and 0.0 <= r < half_length, f"[0, L) = [0, {half_length:g})")
+
+
 def tail_mass_scan(sol: SkeletonSolution, radii) -> TailCurve:
     grid = sol.grid
     r = grid.radial()
     ts = sol.times()
     out = TailCurve(radii=[], sup_l2_tail=[], lp_tail=[], combined=[])
+    admissible = tail_radius_range(grid.half_length)
     for m in radii:
-        if not (0.0 <= m < grid.half_length):
-            raise DomainError(f"tail radius must lie in [0, L), got {m}")
+        check_value("tail radius", m, admissible)
         mask = r >= m
         sq = grid.cell_volume * np.sum(sol.trajectory[:, mask] ** 2, axis=-1)
         lp = grid.cell_volume * np.sum(np.abs(sol.trajectory[:, mask]) ** sol.p, axis=-1)

@@ -9,9 +9,10 @@ independent scalar Brownian motions W_k feeding the mode family sigma_k.
 and with a ``shift`` control v adds the drift sigma(t,u) v(t) dt (the
 change-of-measure dynamics used by the variational analysis). Every path
 runs the deterministic module's step kernel in one of its two loops: a single
-path in the skeleton solver's dense sweep, a batch in ``_step_loop`` here, the
-loop behind both ``batch_paths`` and ``batch_distances``. So the eps -> 0 limit
-is the skeleton solver's arithmetic exactly.
+path in the skeleton solver's dense sweep, a batch in ``_batch_steps`` here.
+That loop only steps; its readers reduce what it yields, ``batch_paths`` to
+per-path records and ``batch_distances`` to distances to references. So the
+eps -> 0 limit is the skeleton solver's arithmetic exactly.
 
 Streams are counter-based: path ``stream_id`` under base ``seed`` uses
 ``Philox(SeedSequence(entropy=seed, spawn_key=(stream_id,)))``, which makes
@@ -65,14 +66,10 @@ class WienerDriver:
     def __post_init__(self) -> None:
         check_ranges(self)
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,)))
-        )
-
     def increments(self, tg: TimeGrid) -> np.ndarray:
         """(n_steps, K) of independent N(0, dt) mode increments."""
-        rng = self.generator()
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        rng = np.random.Generator(np.random.Philox(seq))
         return np.sqrt(tg.dt) * rng.standard_normal(size=(tg.n_steps, self.n_modes))
 
 
@@ -220,7 +217,7 @@ def simulate_sde(
     skeleton solver's diagnostics.
 
     A ``shift`` control v adds the drift sigma(t,u) v(t) dt, as in
-    ``batch_paths``.
+    ``batch_distances``.
     """
     weights = _mode_weights(model, u0, cfg, driver, 1, shift)[0]
     return evolve_dense(model, u0, cfg.timegrid, weights, cfg.linf_guard)
@@ -243,11 +240,10 @@ class PathSummary:
     v_int: float
     lp_int: float
     energy: float
-    dists: np.ndarray  # distance to each reference, in the kind batch_paths was asked for
     probe_inner: Optional[float] = None  # <u(T), probe>_L2 when a probe was given
 
     def as_record(self) -> dict:
-        rec = {
+        return {
             "stream_id": self.stream_id,
             "epsilon": self.epsilon,
             "blow_up": self.blow_step is not None,
@@ -259,9 +255,6 @@ class PathSummary:
             "lp_int": self.lp_int,
             "energy": self.energy,
         }
-        for j, d in enumerate(np.atleast_1d(self.dists)):
-            rec[f"dist_{j}"] = float(d)
-        return rec
 
 
 def _add_norm_pieces(acc, w, l2_sq, semi_sq, lp_pow) -> None:
@@ -271,19 +264,6 @@ def _add_norm_pieces(acc, w, l2_sq, semi_sq, lp_pow) -> None:
     np.maximum(acc[0], l2_sq, out=acc[0])
     acc[1] += w * (l2_sq + semi_sq)
     acc[2] += w * lp_pow
-
-
-def _accumulate(acc, kernel, w, alive, u, hat) -> None:
-    """``_add_norm_pieces`` of the paths' own states ``u`` (``hat`` their
-    ``rfftn``), on live paths only. These norms reach the records, so they keep
-    the ``np.sum`` reductions of the ``grids`` norms."""
-    grid = kernel.model.grid
-    pieces = (
-        array_l2_sq(grid, u),
-        array_seminorm_sq(grid, kernel.half_multipliers, hat),
-        array_lp_pow(grid, u, kernel.model.drift.p),
-    )
-    _add_norm_pieces(acc, w, *(np.where(alive, x, 0.0) for x in pieces))
 
 
 def _row_dot(a, b, weights=None):
@@ -330,7 +310,7 @@ def _accumulate_pairs(acc, kernel, w, u, hat, ref, ref_hat, path, rid) -> None:
     column i of ``acc``, a block of pairs at a time.
 
     The norms are the ``grids`` ones reduced by ``_row_dot``, so they match
-    ``_accumulate``'s to roundoff, not bit for bit. They only feed the
+    ``batch_paths``' to roundoff, not bit for bit. They only feed the
     combined distance, which every caller reads through threshold indicators.
     """
     # the float view of a half-spectrum row interleaves re and im: each multiplier twice
@@ -342,90 +322,43 @@ def _accumulate_pairs(acc, kernel, w, u, hat, ref, ref_hat, path, rid) -> None:
         _add_norm_pieces(acc[:, s:s + block], w, *pieces)
 
 
-def _step_loop(model, u0, cfg, n_paths, base_seed, stream_offset, shift, references,
-               which, event_radius, norms):
-    """The batched loop around ``step_once`` behind ``batch_paths`` and
-    ``batch_distances``.
+def _batch_steps(model, u0, cfg, n_paths, base_seed, stream_offset, shift):
+    """The batched one of the two loops around ``step_once`` (the other is the
+    skeleton module's dense sweep, which keeps whole trajectories).
 
-    Returns (dists, blow_step, u, acc): the (n_paths, n_refs) ``which``
-    distances, +inf for blown paths and decided pairs; the step at which each
-    path blew up, 0 if it never did; the final (or last finite) states; and,
-    when ``norms`` is set, the (3, n_paths) pieces of each path's own norm
-    (else None).
+    The call checks ``n_paths``, draws the streams' weights and builds the
+    kernel; it returns the kernel and a generator yielding (u, hat, alive) at
+    each time 0 .. n_steps: the states, their ``rfft`` and the paths not
+    blown up. A path whose sup norm turns non-finite or exceeds
+    ``cfg.linf_guard`` blows up and keeps its last finite state. Yielded
+    arrays are never written to. Readers run the loop under ``step_once``'s
+    errstate: a norm or distance that overflows reads inf, as a blown path's.
     """
     check_value("n_paths", n_paths, at_least(1))
-    tg = cfg.timegrid
-    smooth = which != "combined"
-    if smooth:
-        ref_w, ref_norm = distance_weights(which, tg)
-    check_value("event_radius", event_radius, NON_NEGATIVE_OR_INF)
-    grid = model.grid
-    n_refs = len(references)
-    for r in references:
-        if r.shape != (tg.n_steps + 1, *grid.shape):
-            raise GridMismatchError("reference trajectory shape mismatch")
     driver = WienerDriver(model.noise.n_modes, base_seed, stream_offset)
     weights = _mode_weights(model, u0, cfg, driver, n_paths, shift)
+    tg = cfg.timegrid
     kernel = StepKernel.build(model, tg)
 
-    ts = tg.times()
-    tw = tg.trapezoid_weights()
-    u = np.broadcast_to(u0.values, (n_paths, *grid.shape)).copy()
-    hat = kernel.rfft(u)
-    acc = np.zeros((3, n_paths)) if norms else None  # the path's own norm pieces: its energy
-    ref_acc = np.zeros((n_paths, n_refs))  # smooth kinds: the weighted sums of squares
-    # combined: the undecided (path, reference) pairs and their norm pieces
-    n_pairs = 0 if smooth else n_paths * n_refs
-    pair_path, pair_ref = np.divmod(np.arange(n_pairs), max(n_refs, 1))
-    pair_acc = np.zeros((3, n_pairs))
-    if n_pairs:
-        refs = np.stack(references, axis=1)  # step-major: refs[k] is every reference at step k
-        ref_hats = kernel.rfft(refs)
-    p = model.drift.p
-
-    def combined(a):
-        return np.sqrt(a[0]) + np.sqrt(a[1]) + a[2] ** (1.0 / p)
-
-    blow_step = np.zeros(n_paths, dtype=int)  # 0 = alive
-    alive = blow_step == 0
-    for k in range(tg.n_steps + 1):
-        if k:
+    def steps():
+        ts = tg.times()
+        u = np.broadcast_to(u0.values, (n_paths, *model.grid.shape)).copy()
+        hat = kernel.rfft(u)
+        alive = np.ones(n_paths, dtype=bool)
+        yield u, hat, alive
+        for k in range(1, tg.n_steps + 1):
             u_next, hat_next = step_once(kernel, ts[k - 1], u, weights[:, k - 1])
             mags = np.max(np.abs(u_next.reshape(n_paths, -1)), axis=1)
-            bad = (~np.isfinite(mags)) | (mags > cfg.linf_guard)
-            blow_step[bad & alive] = k
-            alive = blow_step == 0
+            alive = alive & np.isfinite(mags) & (mags <= cfg.linf_guard)
             if alive.all():
                 u, hat = u_next, hat_next
             else:
-                # frozen members keep their last finite state
-                alive_mask = alive.reshape((-1,) + (1,) * grid.dim)
+                alive_mask = alive.reshape((-1,) + (1,) * model.grid.dim)
                 u = np.where(alive_mask, u_next, u)
                 hat = np.where(alive_mask, hat_next, hat)
-        # overflow is legal here, as in ``step_once``: a path whose norms or
-        # distances overflow reads inf, as a blown path does
-        with np.errstate(over="ignore", invalid="ignore"):
-            if norms:
-                _accumulate(acc, kernel, tw[k], alive, u, hat)
-            if len(pair_path):
-                _accumulate_pairs(pair_acc, kernel, tw[k], u, hat, refs[k], ref_hats[k], pair_path, pair_ref)
-                # decide on the final distance's own expression; the margin keeps
-                # a libm pow that is not monotone from deciding a pair wrongly
-                decided = (combined(pair_acc) > event_radius * (1 + 1e-12)) | ~alive[pair_path]
-                if decided.any():
-                    keep = ~decided
-                    pair_path, pair_ref, pair_acc = pair_path[keep], pair_ref[keep], pair_acc[:, keep]
-            if smooth and ref_w[k]:
-                for j, ref in enumerate(references):
-                    ref_acc[:, j] += np.where(alive, ref_w[k] * array_l2_sq(grid, u - ref[k]), 0.0)
+            yield u, hat, alive
 
-    if smooth:
-        dists = np.sqrt(ref_acc / ref_norm)
-    else:
-        dists = np.full((n_paths, n_refs), np.inf)
-        dists[pair_path, pair_ref] = combined(pair_acc)
-    dists[~alive] = np.inf
-    return dists, blow_step, u, acc
+    return kernel, steps()
 
 
 def batch_paths(
@@ -435,51 +368,36 @@ def batch_paths(
     n_paths: int,
     base_seed: int,
     stream_offset: int = 0,
-    shift: Optional[Control] = None,
-    references: Sequence[np.ndarray] = (),
     probe: Optional[Field] = None,
-    which: str = "combined",
-    event_radius: float = math.inf,
 ) -> list[PathSummary]:
-    """Simulate ``n_paths`` streams at once, reducing each to a PathSummary.
+    """Simulate ``n_paths`` streams at once, reducing each to a PathSummary:
+    its blow-up step, path norms, energy, terminal statistics and, given a
+    ``probe`` field, <u(T), probe>_L2. Distances to references are the other
+    reader of the loop's, ``batch_distances``.
 
-    It runs ``_step_loop``, the batched one of the two loops around
-    ``step_once`` (the other is the skeleton module's dense sweep, which keeps
-    whole trajectories).
     Drivers are the same per-path counter-based generators ``simulate_sde``
     uses, keyed for the whole batch at once by ``_stream_keys``, so each
     member matches the corresponding single-path run to floating-point
     roundoff, and its summary is bit-identical in any batch of at least two
-    paths (a batch of one rounds differently in the last bits). Path blow-ups
-    freeze the offending member at its last finite state, set ``blow_step``,
-    and poison its distances with +inf; they never abort the batch. Distances
-    to ``references`` (trajectories on the same grids) accumulate on the fly,
-    only in the kind ``which`` names: "combined", the path norm sup-L2 +
-    L2-in-time-H^alpha + Lp-in-time-Lp, or a smooth kind of
-    ``skeleton.distance_weights``, summed over its steps of nonzero weight.
-    The combined pair norms reduce by ``_row_dot``, so they agree with
-    ``skeleton.path_distance`` of the single path to roundoff (about 1e-14
-    relative).
-
-    A finite ``event_radius`` r serves callers that read only the indicators
-    d < r and d >= r. Every piece of the combined norm is non-decreasing in
-    time, so a (path, reference) pair whose partial distance exceeds r is
-    decided: it stops accumulating and comes back as +inf, while every other
-    pair comes back with its exact full distance. Both indicators are thus
-    bit-identical to the full mode (r = inf). Every path is still stepped,
-    and the other kinds always come back in full.
-
-    A caller that reads only the distances and the blown paths, as every
-    Monte Carlo probe cell does, calls ``batch_distances`` instead: the same
-    loop without the per-path norms, terminal statistics and summaries.
+    paths (a batch of one rounds differently in the last bits). A blown path
+    is frozen at its last finite state, with its ``blow_step`` set and an
+    energy of +inf; it never aborts the batch.
     """
     if probe is not None and probe.grid != model.grid:
         raise GridMismatchError("probe field lives on a different grid")
-    dists, blow_step, u, acc = _step_loop(
-        model, u0, cfg, n_paths, base_seed, stream_offset, shift, references, which,
-        event_radius, norms=True,
-    )
+    kernel, steps = _batch_steps(model, u0, cfg, n_paths, base_seed, stream_offset, None)
     grid = model.grid
+    tw = cfg.timegrid.trapezoid_weights()
+    acc = np.zeros((3, n_paths))  # the path's own norm pieces: its energy
+    lived = np.zeros(n_paths, dtype=int)  # steps alive: a blown path's blow-up step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (u, hat, alive) in enumerate(steps):
+            # these norms reach the records: the ``np.sum`` reductions of ``grids``
+            pieces = (array_l2_sq(grid, u), array_seminorm_sq(grid, kernel.half_multipliers, hat),
+                      array_lp_pow(grid, u, model.drift.p))
+            _add_norm_pieces(acc, tw[k], *(np.where(alive, x, 0.0) for x in pieces))
+            lived += alive
+    blow_step = np.where(alive, 0, lived)
     terminal_l2 = np.sqrt(array_l2_sq(grid, u))
     terminal_mean = np.mean(u.reshape(n_paths, -1), axis=1)
     energy = acc[0] + acc[1] + acc[2]
@@ -499,11 +417,52 @@ def batch_paths(
             v_int=float(acc[1, b]),
             lp_int=float(acc[2, b]),
             energy=float(energy[b]),
-            dists=dists[b],
             probe_inner=None if probe is None else float(probe_inner[b]),
         )
         for b in range(n_paths)
     ]
+
+
+def _smooth_distances(kernel, steps, n_paths, references, ref_w, ref_norm):
+    """(distances, last alive) of a smooth kind of time weights ``ref_w``."""
+    grid = kernel.model.grid
+    sums = np.zeros((n_paths, len(references)))  # the weighted sums of squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (u, _, alive) in enumerate(steps):
+            if ref_w[k]:
+                for j, ref in enumerate(references):
+                    sums[:, j] += np.where(alive, ref_w[k] * array_l2_sq(grid, u - ref[k]), 0.0)
+    return np.sqrt(sums / ref_norm), alive
+
+
+def _combined_distances(kernel, steps, n_paths, references, event_radius):
+    """(distances, last alive) of the combined kind, +inf for decided pairs."""
+    n_refs = len(references)
+    # the undecided (path, reference) pairs and their norm pieces
+    pair_path, pair_ref = np.divmod(np.arange(n_paths * n_refs), max(n_refs, 1))
+    pair_acc = np.zeros((3, len(pair_path)))
+    if n_refs:
+        refs = np.stack(references, axis=1)  # step-major: refs[k] is every reference at step k
+        ref_hats = kernel.rfft(refs)
+    tw = kernel.timegrid.trapezoid_weights()
+    p = kernel.model.drift.p
+
+    def combined(a):
+        return np.sqrt(a[0]) + np.sqrt(a[1]) + a[2] ** (1.0 / p)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (u, hat, alive) in enumerate(steps):
+            if len(pair_path):
+                _accumulate_pairs(pair_acc, kernel, tw[k], u, hat, refs[k], ref_hats[k], pair_path, pair_ref)
+                # decide on the final distance's own expression; the margin keeps
+                # a libm pow that is not monotone from deciding a pair wrongly
+                decided = (combined(pair_acc) > event_radius * (1 + 1e-12)) | ~alive[pair_path]
+                if decided.any():
+                    keep = ~decided
+                    pair_path, pair_ref, pair_acc = pair_path[keep], pair_ref[keep], pair_acc[:, keep]
+    dists = np.full((n_paths, n_refs), np.inf)
+    dists[pair_path, pair_ref] = combined(pair_acc)
+    return dists, alive
 
 
 def batch_distances(
@@ -518,19 +477,42 @@ def batch_distances(
     which: str = "combined",
     event_radius: float = math.inf,
 ) -> tuple[np.ndarray, int]:
-    """What a Monte Carlo probe cell reads of ``batch_paths``: the
-    (n_paths, n_refs) distances, row b for stream ``stream_offset + b``, and
+    """What a Monte Carlo probe cell reads of ``n_paths`` streams: the
+    (n_paths, n_refs) distances to ``references`` (trajectories on the same
+    grids), row b for stream ``stream_offset + b``, +inf for blown paths, and
     the number of blown paths.
 
-    The same step loop and streams as ``batch_paths``, so the distances are
-    its ``dists`` bit for bit; it skips the per-path norms, the terminal
-    statistics and the per-path ``PathSummary`` objects, which no probe reads.
+    It reads the loop of ``_batch_steps``, as ``batch_paths`` does, on the
+    same streams; a ``shift`` control v adds the drift sigma(t,u) v(t) dt.
+    The distances accumulate on the fly in the kind ``which`` names:
+    "combined", the path norm sup-L2 + L2-in-time-H^alpha + Lp-in-time-Lp,
+    or a smooth kind of ``skeleton.distance_weights``. The combined pair
+    norms reduce by ``_row_dot``, so they agree with
+    ``skeleton.path_distance`` of the single path to roundoff (about 1e-14
+    relative).
+
+    A finite ``event_radius`` r serves callers that read only the indicators
+    d < r and d >= r. Every piece of the combined norm is non-decreasing in
+    time, so a (path, reference) pair whose partial distance exceeds r is
+    decided: it stops accumulating and comes back as +inf, while every other
+    pair comes back with its exact full distance. Both indicators are thus
+    bit-identical to the full mode (r = inf). Every path is still stepped,
+    and the smooth kinds always come back in full.
     """
-    dists, blow_step, _, _ = _step_loop(
-        model, u0, cfg, n_paths, base_seed, stream_offset, shift, references, which,
-        event_radius, norms=False,
-    )
-    return dists, int(np.count_nonzero(blow_step))
+    tg = cfg.timegrid
+    if which != "combined":
+        ref_w, ref_norm = distance_weights(which, tg)
+    check_value("event_radius", event_radius, NON_NEGATIVE_OR_INF)
+    for r in references:
+        if r.shape != (tg.n_steps + 1, *model.grid.shape):
+            raise GridMismatchError("reference trajectory shape mismatch")
+    kernel, steps = _batch_steps(model, u0, cfg, n_paths, base_seed, stream_offset, shift)
+    if which == "combined":
+        dists, alive = _combined_distances(kernel, steps, n_paths, references, event_radius)
+    else:
+        dists, alive = _smooth_distances(kernel, steps, n_paths, references, ref_w, ref_norm)
+    dists[~alive] = np.inf
+    return dists, int(np.count_nonzero(~alive))
 
 
 # ---------------------------------------------------------------------------

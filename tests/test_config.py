@@ -28,9 +28,9 @@ from fracldp.models import (
     SamplingPlan,
 )
 from fracldp.rate import OptimizerSettings, RateQuery, g0_map
-from fracldp.skeleton import Control, TimeGrid
+from fracldp.skeleton import Control, TimeGrid, solve_skeleton, tail_mass_scan
 from fracldp.stochastic import SdeConfig, WienerDriver
-from fracldp.zoo import PRESETS, scalar_linear_model
+from fracldp.zoo import PRESETS, default_initial_datum, default_model, scalar_linear_model
 
 
 def minimal(name="simulate", **sections):
@@ -111,6 +111,37 @@ def test_q_cross_field_error_cites_range():
     # at the admissibility boundary the config is fine
     cfg = parse_config(minimal(model={"preset": "built", "q": 3.0}))
     assert cfg.model["q"] == 3.0
+
+
+@pytest.mark.parametrize("radius", [0.0, 3.5, 3.999, 4.0, 5.0, -0.5])
+def test_tail_radii_agree_with_tail_mass_scan(radius):
+    """A tail-scan radius parses exactly when ``tail_mass_scan`` accepts it on
+    the default grid (L = 4): 0 <= r < L. A radius the scan rejects is a
+    config error that names experiment.radii, not a run that dies."""
+    text = minimal(experiment={"name": "tail-scan", "radii": [1.0, radius]})
+    try:
+        parse_config(text)
+        config_ok = True
+    except ConfigError as exc:
+        assert {e["key"] for e in exc.errors} == {"experiment.radii"}
+        config_ok = False
+    model = default_model()
+    sol = solve_skeleton(model, default_initial_datum(model.grid),
+                         Control.zero(TimeGrid(0.25, 4), model.noise.n_modes))
+    try:
+        tail_mass_scan(sol, [1.0, radius])
+        scan_ok = True
+    except DomainError:
+        scan_ok = False
+    assert config_ok == scan_ok == (0.0 <= radius < 4.0)
+
+
+def test_tail_radius_bound_follows_the_grid_section():
+    errs = errors_of(minimal(experiment={"name": "tail-scan", "radii": [5.0]}))
+    assert next(e for e in errs if e["key"] == "experiment.radii")["expected"].endswith("[0, 4)")
+    cfg = parse_config(minimal(experiment={"name": "tail-scan", "radii": [5.0]},
+                               grid={"half_length": 8.0}))
+    assert cfg.experiment["radii"] == [5.0]
 
 
 @pytest.mark.parametrize("sections, keys", [

@@ -34,7 +34,7 @@ from fracldp.rate import (
     minimize_rate,
 )
 from fracldp.skeleton import Control, TimeGrid, solve_skeleton
-from fracldp.stochastic import EstimationError, SdeConfig, batch_paths, wilson_interval
+from fracldp.stochastic import EstimationError, SdeConfig, batch_distances, wilson_interval
 from fracldp.zoo import scalar_linear_model
 
 A_COEFF = 1.0
@@ -211,7 +211,7 @@ def test_ball_probability_validation(lab, monkeypatch):
         raise AssertionError("a path was simulated before the arguments were checked")
 
     # every rejection below must come before any noise is drawn
-    monkeypatch.setattr(stochastic.WienerDriver, "increments", no_paths)
+    monkeypatch.setattr(stochastic, "_mode_weights", no_paths)
     with pytest.raises(DomainError):
         estimate_ball_probability(model, u0, phi, -0.1, 0.2, 200, 0, tg)
     with pytest.raises(DomainError):  # NaN would make inside + outside = 0
@@ -543,8 +543,7 @@ def test_event_mode_decides_every_pair_as_the_full_mode(lab):
     cfg = SdeConfig(epsilon=0.2, timegrid=tg, linf_guard=0.55)  # as test_fw_counts_blown_paths
 
     def dists(**kw):
-        sums = batch_paths(model, u0, cfg, 200, 7, references=refs, **kw)
-        return np.vstack([s.dists for s in sums]), sum(s.blow_step is not None for s in sums)
+        return batch_distances(model, u0, cfg, 200, 7, references=refs, **kw)
 
     full, blown = dists()
     assert blown > 0
@@ -615,10 +614,10 @@ def test_convergence_rows_follow_the_cell_stream_layout(lab):
         for i, u0 in enumerate(data):
             for j, v in enumerate(controls):
                 offset = ((e_idx * len(data) + i) * len(controls) + j) * n_paths
-                sums = batch_paths(model, u0, SdeConfig(epsilon=eps, timegrid=tg), n_paths, seed,
-                                   stream_offset=offset, shift=v,
-                                   references=[solve_skeleton(model, u0, v).trajectory])
-                counts[i, j] = sum(1 for s in sums if not (s.dists[0] <= eta))
+                dists, _ = batch_distances(model, u0, SdeConfig(epsilon=eps, timegrid=tg), n_paths,
+                                           seed, stream_offset=offset, shift=v,
+                                           references=[solve_skeleton(model, u0, v).trajectory])
+                counts[i, j] = int(np.sum(~(dists[:, 0] <= eta)))
         assert len(set(counts.values())) > 1  # the worst cell is a real choice
         worst = max(counts.values())
         assert row.exceed_count == worst

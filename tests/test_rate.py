@@ -19,7 +19,7 @@ from fracldp.skeleton import (
     path_distance,
     step_once,
 )
-from fracldp.stochastic import SdeConfig, WienerDriver, batch_paths, simulate_sde
+from fracldp.stochastic import SdeConfig, WienerDriver, batch_distances, simulate_sde
 from fracldp.zoo import (
     PRESETS,
     build_model,
@@ -365,7 +365,7 @@ def test_smooth_distances_match_independent_formulas(name):
 @pytest.mark.parametrize("preset", ["default", "fractional", "scalar-linear"])
 @pytest.mark.parametrize("kind", ["terminal", "l2rms", "uniform"])
 def test_batch_and_rate_distances_agree(preset, kind):
-    """Member b of batch_paths(which=kind) and the rate penalty's residual on
+    """Member b of batch_distances(which=kind) and the rate penalty's residual on
     the simulate_sde trajectory of stream b are one distance: they agree to
     the roundoff by which the two trajectories themselves differ."""
     entry = PRESETS[preset]
@@ -375,11 +375,11 @@ def test_batch_and_rate_distances_agree(preset, kind):
     u0 = default_initial_datum(grid) if entry.datum == "bump" else Field(grid, np.full(grid.shape, 0.5))
     ref = g0_map(model, u0, Control(tg, np.full((tg.n_steps, model.noise.n_modes), 0.3)), tg)
     cfg = SdeConfig(epsilon=0.1, timegrid=tg)
-    sums = batch_paths(model, u0, cfg, 3, base_seed=11, references=[ref], which=kind)
+    dists, _ = batch_distances(model, u0, cfg, 3, base_seed=11, references=[ref], which=kind)
     penalty = rate._quadratic_penalty(grid, tg, kind, ref)
-    for b, summary in enumerate(sums):
+    for b, row in enumerate(dists):
         path = simulate_sde(model, u0, cfg, WienerDriver(model.noise.n_modes, 11, b))
-        assert summary.dists[0] == pytest.approx(penalty(path.trajectory, 1.0)[2], rel=1e-12, abs=0.0)
+        assert row[0] == pytest.approx(penalty(path.trajectory, 1.0)[2], rel=1e-12, abs=0.0)
 
 
 def test_forward_sweep_blow_up_names_the_first_non_finite_step():

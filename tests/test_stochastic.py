@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracldp import zoo
+from fracldp import stochastic, zoo
 from fracldp.grids import DomainError, Field, GridMismatchError, GridSpec, array_l2_sq
 from fracldp.ldp import uniform_convergence_experiment
 from fracldp.models import ForcingSpec, ModelSpec
@@ -208,12 +208,33 @@ def test_simulate_input_validation(default_setup):
     with pytest.raises(GridMismatchError):
         simulate_sde(m, u0, cfg, WienerDriver(m.noise.n_modes, 0),
                      shift=Control.zero(TimeGrid(0.5, 10), m.noise.n_modes))
+
+
+def test_batch_rejections_come_before_any_noise_is_drawn(default_setup, monkeypatch):
+    """Both readers of the batched loop reject bad arguments before the loop
+    draws a single weight."""
+    m, u0, tg = default_setup
+    cfg = SdeConfig(epsilon=0.1, timegrid=tg)
+    ref = np.zeros((tg.n_steps + 1, *m.grid.shape))
+
+    def no_draws(*args):
+        raise AssertionError("noise was drawn before the arguments were checked")
+
+    monkeypatch.setattr(stochastic, "_mode_weights", no_draws)
     for n_paths in (0, 2.5, np.nan, True):
-        with pytest.raises(DomainError, match="n_paths"):
-            batch_paths(m, u0, cfg, n_paths, base_seed=0)
+        for run in (batch_paths, batch_distances):
+            with pytest.raises(DomainError, match="n_paths"):
+                run(m, u0, cfg, n_paths, base_seed=0)
+    with pytest.raises(GridMismatchError, match="probe"):
+        batch_paths(m, u0, cfg, 2, base_seed=0,
+                    probe=zoo.default_initial_datum(zoo.standard_grid(points=64)))
     for radius in (-0.1, np.nan):
         with pytest.raises(DomainError, match="event_radius"):
-            batch_paths(m, u0, cfg, 2, base_seed=0, event_radius=radius)
+            batch_distances(m, u0, cfg, 2, base_seed=0, references=[ref], event_radius=radius)
+    with pytest.raises(DomainError, match="sup"):
+        batch_distances(m, u0, cfg, 2, base_seed=0, references=[ref], which="sup")
+    with pytest.raises(GridMismatchError, match="reference"):
+        batch_distances(m, u0, cfg, 2, base_seed=0, references=[ref[:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +269,11 @@ def test_batch_summaries_do_not_depend_on_batch_size(default_setup):
     """A stream's summary is bit-identical in any batch of two or more paths."""
     m, u0, tg = default_setup
     cfg = SdeConfig(epsilon=0.1, timegrid=tg)
-    ref = solve_skeleton(m, u0, Control.zero(tg, m.noise.n_modes)).trajectory
 
     def records(batch):
         sums = []
         for start in range(0, 14, batch):
-            sums += batch_paths(m, u0, cfg, batch, base_seed=5, stream_offset=start,
-                                references=[ref], probe=u0)
+            sums += batch_paths(m, u0, cfg, batch, base_seed=5, stream_offset=start, probe=u0)
         return [(s.as_record(), s.probe_inner) for s in sums[:14]]
 
     assert records(2) == records(7) == records(64)
@@ -266,8 +285,7 @@ def test_batch_summaries_do_not_depend_on_batch_size(default_setup):
 ])
 def test_batch_distances_do_not_depend_on_batch_size(default_setup, which, radius):
     """Every kind of distance, decided early or not, is bit-identical in any
-    batch of two or more paths, and ``batch_distances`` returns the
-    ``dists`` of ``batch_paths`` bit for bit."""
+    batch of two or more paths."""
     m, u0, tg = default_setup
     cfg = SdeConfig(epsilon=0.1, timegrid=tg)
     refs = [solve_skeleton(m, u0, Control.zero(tg, m.noise.n_modes)).trajectory,
@@ -284,9 +302,6 @@ def test_batch_distances_do_not_depend_on_batch_size(default_setup, which, radiu
     full = distances(2)
     assert np.array_equal(full, distances(7))
     assert np.array_equal(full, distances(64))
-    sums = batch_paths(m, u0, cfg, 14, base_seed=5, references=refs, which=which,
-                       event_radius=radius)
-    assert np.array_equal(full, np.vstack([s.dists for s in sums]))
     if which == "combined" and 0 < radius < np.inf:
         # some pairs decided early, some kept: the indicators at the radius are still exact
         assert np.isinf(full).any() and np.isfinite(full).any()
@@ -296,6 +311,25 @@ def test_batch_distances_do_not_depend_on_batch_size(default_setup, which, radiu
         ])
         assert np.array_equal(full < radius, plain < radius)
         assert np.array_equal(full[np.isfinite(full)], plain[np.isfinite(full)])
+
+
+@pytest.mark.parametrize("guard, n_blown", [(1.002, 12), (1.01, 6), (1.02, 3)])
+def test_both_readers_see_the_same_loop(guard, n_blown):
+    """``batch_paths`` and ``batch_distances`` read one batched loop: a live
+    path's terminal distance to the zero reference is its ``terminal_l2`` bit
+    for bit, and both readers see the same paths blow up."""
+    m = zoo.fractional_model()
+    u0 = zoo.default_initial_datum(m.grid)
+    tg = TimeGrid(0.25, 32)
+    cfg = SdeConfig(epsilon=1.0, timegrid=tg, linf_guard=guard)
+    sums = batch_paths(m, u0, cfg, 64, base_seed=3, stream_offset=5)
+    zero = np.zeros((tg.n_steps + 1, *m.grid.shape))
+    dists, blown = batch_distances(m, u0, cfg, 64, base_seed=3, stream_offset=5,
+                                   references=[zero], which="terminal")
+    live = np.array([s.blow_step is None for s in sums])
+    assert blown == np.count_nonzero(~live) == n_blown
+    assert np.array_equal(dists[live, 0], [s.terminal_l2 for s in sums if s.blow_step is None])
+    assert np.all(np.isinf(dists[~live, 0]))
 
 
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 16, 65, 128])
@@ -379,9 +413,9 @@ def test_batch_distance_accumulation_matches_post_hoc(default_setup):
         "uniform": lambda u: np.sqrt(np.mean(array_l2_sq(m.grid, u - ref))),
     }
     for which, distance in post_hoc.items():
-        sums = batch_paths(m, u0, cfg, 3, base_seed=42, references=[ref], which=which)
+        dists, _ = batch_distances(m, u0, cfg, 3, base_seed=42, references=[ref], which=which)
         for b in range(3):
-            assert sums[b].dists[0] == pytest.approx(distance(singles[b]), rel=1e-10)
+            assert dists[b, 0] == pytest.approx(distance(singles[b]), rel=1e-10)
 
 
 def test_batch_marks_blow_ups_without_aborting(default_setup):
@@ -456,12 +490,14 @@ def test_step_bits_are_pinned():
         u0 = zoo.default_initial_datum(model.grid)
         weights = tg.dt * np.random.default_rng(29).standard_normal((tg.n_steps, model.noise.n_modes))
         states, hats = forward_states(model, StepKernel.build(model, tg), u0, weights)
-        sums = batch_paths(model, u0, SdeConfig(0.2, tg), 512, base_seed=29, references=[states])
+        cfg = SdeConfig(0.2, tg)
+        sums = batch_paths(model, u0, cfg, 512, base_seed=29)
+        dists, _ = batch_distances(model, u0, cfg, 512, base_seed=29, references=[states])
         h = hashlib.sha256(states.tobytes() + hats.tobytes())
-        for s in sums:
+        for s, row in zip(sums, dists):
             for x in (s.blow_step or 0, s.sup_l2, s.terminal_l2, s.terminal_mean, s.v_int, s.lp_int, s.energy):
                 h.update(float(x).hex().encode())
-            h.update(s.dists.tobytes())
+            h.update(row.tobytes())
         got[name] = h.hexdigest()[:16]
     assert got == {
         "default": "b188765c242df847",
